@@ -40,11 +40,9 @@ from .conditions import (
 )
 from .words import Alphabet, UPWord, up_normalize
 
-# Practical bound on the label range of a single condition atom within one
-# strongly connected component during emptiness search, and on the component
-# size during family materialization.  Inputs beyond it are rejected with a
-# clear error instead of running for hours.
-_SEARCH_LABEL_LIMIT = 16
+# Practical bound on the component size during family materialization, which
+# enumerates every subset of a component.  Inputs beyond it are rejected with
+# a clear error instead of running for hours; emptiness search has no bound.
 _MATERIALIZE_SCC_LIMIT = 18
 
 
@@ -57,7 +55,11 @@ class FamilyTooLargeError(ValueError):
 
 
 def strongly_connected_components(n_states: int, rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative; components sorted by least state."""
+    """Tarjan's algorithm, iterative.
+
+    Components come in emission order, which is reverse topological: each
+    one follows every component it reaches.
+    """
     index = [-1] * n_states
     low = [0] * n_states
     on_stack = [False] * n_states
@@ -102,7 +104,6 @@ def strongly_connected_components(n_states: int, rows: Sequence[Sequence[int]]) 
             if work:
                 pq, _ = work[-1]
                 low[pq] = min(low[pq], low[q])
-    comps.sort(key=lambda c: c[0])
     return comps
 
 
@@ -188,18 +189,22 @@ def _rows_from_mapping(alphabet: Alphabet, n_states: int, trans) -> list[list[in
     return [list(r) for r in trans]
 
 
-def _bfs_order(n_states: int, rows, initial: int) -> list[int]:
-    """Reachable states in breadth-first shortlex order."""
-    seen = {initial: 0}
+def _bfs_renumber(rows, initial: int) -> tuple[dict[int, int], tuple[tuple[int, ...], ...]]:
+    """Reachable states renumbered in breadth-first shortlex order.
+
+    Returns the map from old to new ids, whose keys come in the new order,
+    and the renumbered transition rows.
+    """
+    renum = {initial: 0}
     order = [initial]
     i = 0
     while i < len(order):
         for t in rows[order[i]]:
-            if t not in seen:
-                seen[t] = len(order)
+            if t not in renum:
+                renum[t] = len(order)
                 order.append(t)
         i += 1
-    return order
+    return renum, tuple(tuple(renum[t] for t in rows[old]) for old in order)
 
 
 class OpenSet(Dfa):
@@ -221,15 +226,9 @@ class OpenSet(Dfa):
                 raise ValueError(f"final state {q} out of range")
         k = len(alphabet)
         rows = tuple((q,) * k if q in fin else rows[q] for q in range(n_states))
-        order = _bfs_order(n_states, rows, initial)
-        renum = {old: new for new, old in enumerate(order)}
-        new_rows = tuple(tuple(renum[rows[old][si]] for si in range(k)) for old in order)
+        renum, new_rows = _bfs_renumber(rows, initial)
         new_fin = frozenset(renum[q] for q in fin if q in renum)
-        return cls(alphabet, len(order), 0, new_rows, new_fin)
-
-    def reaches_final(self, word: str) -> bool:
-        """True iff some prefix of ``word`` lands in a final state."""
-        return self.run(word) in self.finals
+        return cls(alphabet, len(new_rows), 0, new_rows, new_fin)
 
     def is_empty(self) -> bool:
         return not self.finals
@@ -322,17 +321,15 @@ class DMA:
                 if not (0 <= q < n_states):
                     raise ValueError(f"acceptance set state {q} out of range")
             members.append(member)
-        k = len(alphabet)
-        order = _bfs_order(n_states, rows, initial)
-        renum = {old: new for new, old in enumerate(order)}
-        new_rows = tuple(tuple(renum[rows[old][si]] for si in range(k)) for old in order)
+        renum, new_rows = _bfs_renumber(rows, initial)
         fam = {
             frozenset(renum[q] for q in member)
             for member in members
             if member and all(q in renum for q in member)
         }
         family = tuple(sorted(fam, key=lambda s: (len(s), sorted(s))))
-        return cls(alphabet, len(order), 0, new_rows, family_atom(len(order), family), family)
+        n = len(new_rows)
+        return cls(alphabet, n, 0, new_rows, family_atom(n, family), family)
 
     # -- evaluation
 
@@ -436,14 +433,9 @@ def _is_cycle_closed(rows, states: frozenset[int]) -> bool:
 # boolean algebra
 
 
-def _normalize_derived(alphabet: Alphabet, n_states: int, initial: int,
-                       rows, cond: Cond) -> DMA:
-    order = _bfs_order(n_states, rows, initial)
-    renum = {old: new for new, old in enumerate(order)}
-    k = len(alphabet)
-    new_rows = tuple(tuple(renum[rows[old][si]] for si in range(k)) for old in order)
-    new_cond = remap(cond, order, {})
-    return DMA(alphabet, len(order), 0, new_rows, new_cond)
+def _normalize_derived(alphabet: Alphabet, initial: int, rows, cond: Cond) -> DMA:
+    renum, new_rows = _bfs_renumber(rows, initial)
+    return DMA(alphabet, len(new_rows), 0, new_rows, remap(cond, list(renum), {}))
 
 
 def boolean_combine(a: DMA, b: DMA | None, mode: str) -> DMA:
@@ -536,95 +528,83 @@ def open_to_dma(e: OpenSet) -> DMA:
 def _search_scc(rows, cond: Cond, C: frozenset[int]) -> frozenset[int] | None:
     """A cycle-closed ``D`` inside the SCC ``C`` satisfying ``cond``, if any.
 
-    Atoms whose labels are constant on ``C`` are folded to constants; the
-    rest are resolved by enumerating their exact projections, narrowing the
-    candidate region as each projection is fixed.  Sound because the final
-    candidate is evaluated exactly; complete because the true projection
-    tuple of any accepting set is among those enumerated, and the SCC of the
-    narrowed region containing it projects to exactly the same tuple.
+    Tries each truth assignment to the atoms that makes ``cond`` true.  An
+    atom that must hold has its projection fixed to one family member at a
+    time, which narrows the region to the states labelled in that member.
+    An atom that must fail is handled by refinement (see :func:`_refine`).
+    Sound because a returned set meets every assigned atom value; complete
+    because the atom values of any accepting set are among the assignments
+    tried, and the set lies inside the region narrowed for them.
     """
     if evaluate(cond, C):
         return C
-    atoms = atoms_of(cond)
-    assignment: dict[Atom, bool] = {}
-    symbolic: list[Atom] = []
-    for at in atoms:
-        labels = {at.labels[q] for q in C}
-        if len(labels) == 1:
-            assignment[at] = frozenset(labels) in at.family
-        else:
-            symbolic.append(at)
-    folded = assign(cond, assignment)
-    if isinstance(folded, Bool):
-        # TRUE is impossible: it would hold under the actual atom values on
-        # C as well, and C already failed exact evaluation above.
-        assert not folded.value
-        return None
-    if not symbolic:
-        return None
-    symbolic.sort(key=lambda at: (len({at.labels[q] for q in C}), atoms.index(at)))
-    chosen: dict[Atom, frozenset[int]] = {}
-
-    def rec(region: frozenset[int], i: int, amap: dict[Atom, bool]):
-        if i == len(symbolic):
-            for D in _induced_sccs(rows, region):
-                if all(
-                    frozenset(at.labels[q] for q in D) == chosen[at] for at in symbolic
-                ) and evaluate(cond, D):
-                    return D
-            return None
-        at = symbolic[i]
-        labels_here = sorted({at.labels[q] for q in region})
-        if len(labels_here) > _SEARCH_LABEL_LIMIT:
-            raise FamilyTooLargeError(
-                f"emptiness search over {len(labels_here)} projection labels "
-                f"exceeds the practical bound {_SEARCH_LABEL_LIMIT}"
-            )
-        for size in range(len(labels_here), 0, -1):
-            for sub in combinations(labels_here, size):
-                tset = frozenset(sub)
-                amap2 = dict(amap)
-                amap2[at] = tset in at.family
-                after = assign(cond, amap2)
-                if isinstance(after, Bool) and not after.value:
-                    continue
-                region2 = frozenset(q for q in region if at.labels[q] in tset)
-                if not region2:
-                    continue
-                chosen[at] = tset
-                found = rec(region2, i + 1, amap2)
-                if found is not None:
-                    return found
-        return None
-
-    return rec(C, 0, assignment)
-
-
-def _find_accepting_set(a: DMA) -> frozenset[int] | None:
-    cond = a.cond
-    if isinstance(cond, Bool) and not cond.value:
-        return None
-    rows = a.transitions
-    # explicit-family fast path: check each member directly
-    if (
-        a._family is not None
-        and isinstance(cond, Atom)
-        and cond.labels == tuple(range(a.n_states))
-    ):
-        for T in a._family:
-            if _is_cycle_closed(rows, T):
-                return T
-        return None
-    for comp in strongly_connected_components(a.n_states, rows):
-        C = frozenset(comp)
-        if len(C) == 1:
-            (q,) = C
-            if not any(t == q for t in rows[q]):
-                continue
-        D = _search_scc(rows, cond, C)
+    for region, exact, failing in _assignments(cond, C, {}, ()):
+        D = _refine(rows, region, exact, failing, set())
         if D is not None:
             return D
     return None
+
+
+def _assignments(cond: Cond, region: frozenset[int], exact: dict[Atom, frozenset[int]],
+                 failing: tuple[Atom, ...]
+                 ) -> Iterator[tuple[frozenset[int], dict[Atom, frozenset[int]], tuple[Atom, ...]]]:
+    """Partial atom assignments under which ``cond`` folds to true.
+
+    Yields the narrowed region, the exact projection of each atom that must
+    hold, and the atoms that must fail.
+    """
+    if isinstance(cond, Bool):
+        if cond.value:
+            yield region, exact, failing
+        return
+    at = atoms_of(cond)[0]
+    held = assign(cond, {at: True})
+    if held is not FALSE:
+        present = {at.labels[q] for q in region}
+        for T in at.family:
+            if T <= present:
+                narrowed = frozenset(q for q in region if at.labels[q] in T)
+                yield from _assignments(held, narrowed, {**exact, at: T}, failing)
+    yield from _assignments(assign(cond, {at: False}), region, exact, failing + (at,))
+
+
+def _refine(rows, region: frozenset[int], exact: dict[Atom, frozenset[int]],
+            failing: tuple[Atom, ...], dead: set[frozenset[int]]) -> frozenset[int] | None:
+    """A cycle-closed set inside ``region`` with the ``exact`` projections on
+    which every ``failing`` atom fails, if any.
+
+    If an SCC ``S`` of the region projects into the family of a failing
+    atom, every answer inside ``S`` misses one of those labels, so the
+    search recurses into ``S`` minus one label at a time.  ``dead`` holds
+    the SCCs already found to contain no answer.
+    """
+    for S in _induced_sccs(rows, region):
+        if S in dead:
+            continue
+        if all(frozenset(at.labels[q] for q in S) == T for at, T in exact.items()):
+            bad = next((at for at in failing if at.value_on(S)), None)
+            if bad is None:
+                return S
+            for label in sorted({bad.labels[q] for q in S}):
+                D = _refine(rows, frozenset(q for q in S if bad.labels[q] != label),
+                            exact, failing, dead)
+                if D is not None:
+                    return D
+        dead.add(S)
+    return None
+
+
+def _accepting_sets(rows, cond: Cond) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
+    """``(C, D)`` for each SCC ``C``, least state first, holding a
+    cycle-closed ``D`` that satisfies ``cond``."""
+    for C in _induced_sccs(rows, frozenset(range(len(rows)))):
+        D = _search_scc(rows, cond, C)
+        if D is not None:
+            yield C, D
+
+
+def _find_accepting_set(a: DMA) -> frozenset[int] | None:
+    return next((D for _, D in _accepting_sets(a.transitions, a.cond)), None)
 
 
 def _bfs_word(a: DMA, src: int, targets: frozenset[int],
@@ -731,16 +711,9 @@ def equivalent(a: DMA, b: DMA) -> bool:
 
 def _positive_states(a: DMA, cond: Cond) -> set[int]:
     """States of SCCs containing a cycle-closed set satisfying ``cond``."""
-    rows = a.transitions
     out: set[int] = set()
-    for comp in strongly_connected_components(a.n_states, rows):
-        C = frozenset(comp)
-        if len(C) == 1:
-            (q,) = C
-            if not any(t == q for t in rows[q]):
-                continue
-        if _search_scc(rows, cond, C) is not None:
-            out |= C
+    for C, _ in _accepting_sets(a.transitions, cond):
+        out |= C
     return out
 
 
@@ -765,36 +738,38 @@ def _live_states(a: DMA) -> set[int]:
     return _states_reaching(a, _positive_states(a, a.cond))
 
 
+def _live_restriction(a: DMA) -> tuple[list[tuple[int, ...]], int, int | None] | None:
+    """Transitions among the live states, or None if the initial state is dead.
+
+    Live states keep their relative order; edges leaving them go to a sink,
+    appended as the last state only when some edge needs it.  Returns the
+    rows, the initial state and the sink (or None).
+    """
+    live = _live_states(a)
+    if a.initial not in live:
+        return None
+    order = sorted(live)
+    renum = {q: i for i, q in enumerate(order)}
+    sink = len(order)
+    rows = [tuple(renum.get(t, sink) for t in a.transitions[q]) for q in order]
+    if not any(sink in row for row in rows):
+        return rows, renum[a.initial], None
+    rows.append((sink,) * len(a.alphabet))
+    return rows, renum[a.initial], sink
+
+
 def closure(a: DMA) -> DMA:
     """Topological closure: runs that stay forever among live states.
 
     Transitions leaving the live part are redirected into a rejecting sink,
     and a run is accepted iff it never meets the sink.
     """
-    live = _live_states(a)
-    if a.initial not in live:
+    restricted = _live_restriction(a)
+    if restricted is None:
         return empty_dma(a.alphabet)
-    k = len(a.alphabet)
-    order = sorted(live)
-    renum = {q: i for i, q in enumerate(order)}
-    sink = len(order)
-    need_sink = False
-    rows = []
-    for q in order:
-        row = []
-        for si in range(k):
-            t = a.transitions[q][si]
-            if t in live:
-                row.append(renum[t])
-            else:
-                row.append(sink)
-                need_sink = True
-        rows.append(tuple(row))
-    if need_sink:
-        rows.append((sink,) * k)
-        cond = c_not(hits_atom(sink + 1, {sink}))
-        return _normalize_derived(a.alphabet, sink + 1, renum[a.initial], rows, cond)
-    return _normalize_derived(a.alphabet, len(order), renum[a.initial], rows, TRUE)
+    rows, initial, sink = restricted
+    cond = TRUE if sink is None else c_not(hits_atom(len(rows), {sink}))
+    return _normalize_derived(a.alphabet, initial, rows, cond)
 
 
 def interior(a: DMA) -> OpenSet:
@@ -810,33 +785,13 @@ def interior(a: DMA) -> OpenSet:
 
 def pref_dfa(a: DMA) -> Dfa:
     """DFA for the prefix language of L(a): live states plus a dead sink."""
-    live = _live_states(a)
-    k = len(a.alphabet)
-    if a.initial not in live:
-        return Dfa(a.alphabet, 1, 0, ((0,) * k,), frozenset())
-    order = sorted(live)
-    renum = {q: i for i, q in enumerate(order)}
-    sink = len(order)
-    need_sink = False
-    rows = []
-    for q in order:
-        row = []
-        for si in range(k):
-            t = a.transitions[q][si]
-            if t in live:
-                row.append(renum[t])
-            else:
-                row.append(sink)
-                need_sink = True
-        rows.append(tuple(row))
-    finals = frozenset(range(len(order)))
-    if need_sink:
-        rows.append((sink,) * k)
-    order2 = _bfs_order(len(rows), rows, renum[a.initial])
-    renum2 = {old: new for new, old in enumerate(order2)}
-    rows2 = tuple(tuple(renum2[rows[old][si]] for si in range(k)) for old in order2)
-    finals2 = frozenset(renum2[q] for q in finals if q in renum2)
-    return Dfa(a.alphabet, len(order2), 0, rows2, finals2)
+    restricted = _live_restriction(a)
+    if restricted is None:
+        return Dfa(a.alphabet, 1, 0, ((0,) * len(a.alphabet),), frozenset())
+    rows, initial, sink = restricted
+    renum, new_rows = _bfs_renumber(rows, initial)
+    finals = frozenset(new for old, new in renum.items() if old != sink)
+    return Dfa(a.alphabet, len(new_rows), 0, new_rows, finals)
 
 
 def avoid_infix_dma(alphabet: Alphabet, word: str) -> DMA:
@@ -872,4 +827,4 @@ def avoid_infix_dma(alphabet: Alphabet, word: str) -> DMA:
         rows.append(tuple(row))
     rows.append((hit,) * k)
     cond = c_not(hits_atom(L + 1, {hit}))
-    return _normalize_derived(alphabet, L + 1, 0, rows, cond)
+    return _normalize_derived(alphabet, 0, rows, cond)

@@ -4,16 +4,14 @@ Decision commands print ``true``/``false``; value commands print exact
 rationals as ``p/q``.  Exit status: 0 on success (including negative
 decisions), 2 for usage, parse or input errors, 3 when an internal
 invariant or resource bound is violated.  Output is deterministic for
-identical inputs and flags; with several input files and ``--jobs``,
-results are still emitted in input order, one line per file prefixed with
-the file name.
+identical inputs and flags; with several input files, results are
+emitted in input order, one line per file prefixed with the file name.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .automata import (
@@ -100,11 +98,7 @@ def _weights_for(doc: OafDocument, args) -> dict[str, Fraction] | None:
 
 def _run_per_file(args, fn) -> int:
     files = args.files
-    if getattr(args, "jobs", 1) > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as ex:
-            results = list(ex.map(fn, files))
-    else:
-        results = [fn(p) for p in files]
+    results = [fn(p) for p in files]
     for path, result in zip(files, results):
         if len(files) > 1:
             print(f"{path}: {result}")
@@ -162,15 +156,8 @@ def _cmd_interior(args) -> int:
 
 def _cmd_boolean(args) -> int:
     a, _ = _read_dma(args.a)
-    if args.mode == "complement":
-        if args.b is not None:
-            raise ValueError("complement takes a single automaton")
-        result = boolean_combine(a, None, "complement")
-    else:
-        if args.b is None:
-            raise ValueError(f"{args.mode} needs two automata")
-        b, _ = _read_dma(args.b)
-        result = boolean_combine(a, b, args.mode)
+    b = None if args.b is None else _read_dma(args.b)[0]
+    result = boolean_combine(a, b, args.mode)
     sys.stdout.write(serialize_oaf(from_dma(result)))
     return 0
 
@@ -292,9 +279,6 @@ def _cmd_v3_f2_member(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=int, default=1, metavar="N",
-                      help="process input files with up to N workers")
     meas = argparse.ArgumentParser(add_help=False)
     meas.add_argument("--measure", metavar="SPEC", default=None,
                       help="'uniform' or symbol weights like 'a=1/2 b=1/2'")
@@ -322,19 +306,19 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=func)
         return sp
 
-    files_cmd("measure", _cmd_measure, [jobs, meas],
+    files_cmd("measure", _cmd_measure, [meas],
               "exact Bernoulli measure of each automaton language")
-    files_cmd("meager", _decision_cmd(is_meager), [jobs],
+    files_cmd("meager", _decision_cmd(is_meager), [],
               "is the language of first Baire category?")
-    files_cmd("dense", _decision_cmd(is_dense), [jobs],
+    files_cmd("dense", _decision_cmd(is_dense), [],
               "is the language dense?")
-    files_cmd("nowhere-dense", _decision_cmd(is_nowhere_dense), [jobs],
+    files_cmd("nowhere-dense", _decision_cmd(is_nowhere_dense), [],
               "does the closure contain no ball?")
-    files_cmd("disjunctive", _decision_cmd(contains_disjunctive), [jobs],
+    files_cmd("disjunctive", _decision_cmd(contains_disjunctive), [],
               "does the language contain a disjunctive word?")
-    files_cmd("avoided-infix", _cmd_avoided_infix, [jobs, witness],
+    files_cmd("avoided-infix", _cmd_avoided_infix, [witness],
               "shortlex-least infix avoided by the whole (meager) language")
-    files_cmd("empty", _cmd_empty, [jobs],
+    files_cmd("empty", _cmd_empty, [],
               "emptiness, with an ultimately periodic witness if non-empty")
 
     sp = sub.add_parser("closure", help="topological closure, as an automaton")

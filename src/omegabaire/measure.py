@@ -90,38 +90,20 @@ def _markov_values(n_states: int, rows: Sequence[Sequence[int]],
                    wvec: tuple[Fraction, ...],
                    bottom_value: Callable[[frozenset[int]], Fraction]
                    ) -> list[Fraction]:
-    """Unique fixpoint of p = one-step average, anchored on bottom SCCs."""
-    comps = strongly_connected_components(n_states, rows)
-    comp_of = [0] * n_states
-    for ci, comp in enumerate(comps):
-        for q in comp:
-            comp_of[q] = ci
-    succs: list[set[int]] = [set() for _ in comps]
-    for q in range(n_states):
-        for t in rows[q]:
-            if comp_of[t] != comp_of[q]:
-                succs[comp_of[q]].add(comp_of[t])
+    """Unique fixpoint of p = one-step average, anchored on bottom SCCs.
+
+    Components arrive in reverse topological order, so every state outside
+    the current component already has its value.
+    """
     p: list[Fraction | None] = [None] * n_states
-    resolved = [False] * len(comps)
-    pending = list(range(len(comps)))
-    while pending:
-        remaining = []
-        progressed = False
-        for ci in pending:
-            if not all(resolved[cj] for cj in succs[ci]):
-                remaining.append(ci)
-                continue
-            comp = comps[ci]
-            if not succs[ci]:
-                val = bottom_value(frozenset(comp))
-                for q in comp:
-                    p[q] = val
-            else:
-                _solve_block(comp, rows, wvec, p)
-            resolved[ci] = True
-            progressed = True
-        assert progressed, "condensation is acyclic"
-        pending = remaining
+    for comp in strongly_connected_components(n_states, rows):
+        cset = frozenset(comp)
+        if all(t in cset for q in comp for t in rows[q]):
+            val = bottom_value(cset)
+            for q in comp:
+                p[q] = val
+        else:
+            _solve_block(comp, rows, wvec, p)
     return p  # type: ignore[return-value]
 
 

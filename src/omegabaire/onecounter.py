@@ -191,10 +191,6 @@ def f1_member_up(x: UPWord, spec: CounterLanguageSpec | None = None,
 # the fixed-point root and its irrationality
 
 
-def _format_frac(x: Fraction) -> str:
-    return format_rational(x)
-
-
 @dataclass(frozen=True)
 class Interval:
     """Exact rational bracket around a real number."""
@@ -216,7 +212,7 @@ class Interval:
         return self.lo <= x <= self.hi
 
     def __str__(self) -> str:
-        return f"[{_format_frac(self.lo)}, {_format_frac(self.hi)}]"
+        return f"[{format_rational(self.lo)}, {format_rational(self.hi)}]"
 
 
 def _ball_poly(k: int, t: Fraction) -> Fraction:
@@ -293,7 +289,7 @@ class IrrationalityCertificate:
         lines = [f"least positive root of t^3 - {k}*t + 1"]
         if self.quadratic is None:
             pairs = ", ".join(
-                f"{_format_frac(c)} -> {_format_frac(v)}" for c, v in self.candidates
+                f"{format_rational(c)} -> {format_rational(v)}" for c, v in self.candidates
             )
             lines.append(f"rational-root candidates: {pairs}")
             lines.append("all candidate evaluations nonzero: no rational root")
@@ -301,7 +297,7 @@ class IrrationalityCertificate:
             lines.append("factorization: (t - 1) * (t^2 + t - 1); "
                          "the bracket (0, 3/4) excludes the root t = 1")
             pairs = ", ".join(
-                f"{_format_frac(c)} -> {_format_frac(v)}" for c, v in self.candidates
+                f"{format_rational(c)} -> {format_rational(v)}" for c, v in self.candidates
             )
             lines.append(f"quadratic rational-root candidates: {pairs}")
             r, s = self.nonsquare_bracket
@@ -413,7 +409,7 @@ class RefutationReport:
     def render(self, digits: int = 10) -> str:
         th = self.threshold()
         lines = [
-            f"mu_e: {_format_frac(self.mu_e)}",
+            f"mu_e: {format_rational(self.mu_e)}",
             f"root_interval: {self.root_interval}",
             f"threshold: {th}",
             f"threshold_decimal: ~ {format_decimal(th.midpoint(), digits)}",
@@ -474,7 +470,7 @@ def f1_refute_open(e: OpenSet, precision: int = 64,
         for u in F1_ALPHABET.iter_words(1, search_cap):
             if F1_MARKER not in u:
                 continue
-            if not e.reaches_final(u):
+            if not e.accepts(u):
                 continue
             if any(
                 u[j] == F1_MARKER and counter_run(spec, u[:j]).status == IN_V

@@ -51,6 +51,31 @@ def dma_a_ball_or_bw() -> DMA:
     return DMA.from_parts(AB, 4, 0, rows, [{1}, {2}])
 
 
+def dma_transient_cycle(n: int = 20) -> DMA:
+    """A transient SCC of ``n`` states leaking into two sinks; the family is
+    the one member {accepting sink}.
+
+    Symbol a walks the cycle 0 -> 1 -> ... -> n-1 -> 0, so a^omega stays in
+    the transient SCC forever.  Symbol b jumps inside it, except that from
+    state n-1 it enters the accepting sink and from state n//2 the
+    rejecting one.
+    """
+    accept, reject = n, n + 1
+    rows = [[(q + 1) % n, (3 * q + 1) % n] for q in range(n)]
+    rows[n - 1][1] = accept
+    rows[n // 2][1] = reject
+    rows += [[accept, accept], [reject, reject]]
+    return DMA.from_parts(AB, n + 2, 0, rows, [{accept}])
+
+
+def dma_strongly_connected_16() -> DMA:
+    """A strongly connected 16-state DMA with a four-member family."""
+    n = 16
+    rows = [[(q + 1) % n, (7 * q + 2) % n] for q in range(n)]
+    return DMA.from_parts(AB, n, 0, rows,
+                          [range(n), range(6), range(0, n, 2), range(3, 8)])
+
+
 # ---------------------------------------------------------------------------
 # random instances
 

@@ -32,11 +32,13 @@ from omegabaire import (
 
 from helpers import (
     AB,
+    ABC,
     dma_a_ball_or_bw,
     dma_ball_a,
     dma_inf_a,
     dma_one_b,
     dma_singleton,
+    dma_transient_cycle,
     emptiness_oracle,
     lasso_oracle,
     random_dma,
@@ -102,7 +104,6 @@ def test_de_morgan_on_random_pairs():
 
 
 def test_boolean_alphabet_mismatch():
-    from helpers import ABC
     with pytest.raises(ValueError):
         union(dma_inf_a(), full_dma(ABC))
 
@@ -131,8 +132,13 @@ def test_inf_a_witness_period_contains_a():
 
 def test_emptiness_matches_subset_oracle():
     rng = random.Random(13)
-    for _ in range(150):
-        a = random_dma(rng)
+    cases = [random_dma(rng) for _ in range(150)]
+    # negated atoms: complements and symmetric differences of small pairs
+    for _ in range(100):
+        alphabet = rng.choice((AB, ABC))
+        x, y = (random_dma(rng, 3, (alphabet,)) for _ in range(2))
+        cases += [complement(x), symdiff(x, y), complement(symdiff(x, y))]
+    for a in cases:
         empty = is_empty(a)
         assert empty == emptiness_oracle(a)
         w = accepting_witness(a)
@@ -167,7 +173,6 @@ def test_up_membership_matches_lasso_oracle():
 
 
 def test_up_membership_alphabet_mismatch():
-    from helpers import ABC
     with pytest.raises(ValueError):
         up_membership(dma_inf_a(), parse_up(ABC, "(c)^w"))
 
@@ -198,8 +203,19 @@ def test_closure_contains_language_and_is_closed():
         assert equivalent(closure(c), c)
 
 
+def test_closure_of_large_transient_scc():
+    # 20 projection labels inside one SCC, none of them in the family
+    a = dma_transient_cycle()
+    cl = closure(a)
+    assert contains(cl, a)
+    assert up_membership(cl, parse_up(AB, "(a)^w"))
+    assert not up_membership(a, parse_up(AB, "(a)^w"))
+    assert up_membership(cl, parse_up(AB, "a" * 19 + "b(a)^w"))
+    assert not up_membership(cl, parse_up(AB, "a" * 10 + "b(a)^w"))
+
+
 def test_interior_hand_cases():
-    assert interior(full_dma(AB)).reaches_final("")
+    assert interior(full_dma(AB)).accepts("")
     assert interior(dma_singleton("a")).is_empty()
     it = interior(dma_a_ball_or_bw())
     d = open_to_dma(it)

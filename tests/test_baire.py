@@ -11,13 +11,17 @@ from omegabaire import (
     empty_open,
     equivalent,
     finite_up_abp,
+    from_dma,
+    from_open,
     full_dma,
     full_open,
     is_empty,
     is_meager,
     mu,
     open_to_dma,
+    parse_oaf,
     parse_up,
+    serialize_oaf,
     symdiff,
     synthesize_abp_witness,
     union,
@@ -26,7 +30,16 @@ from omegabaire import (
     verify_abp_witness,
 )
 
-from helpers import AB, ABC, dma_ball_a, dma_inf_a, dma_singleton, random_dma
+from helpers import (
+    AB,
+    ABC,
+    dma_ball_a,
+    dma_inf_a,
+    dma_singleton,
+    dma_strongly_connected_16,
+    dma_transient_cycle,
+    random_dma,
+)
 
 
 def dma_fin_a():
@@ -233,6 +246,28 @@ def test_finite_up_rejects_bad_input():
         finite_up_abp([])
     with pytest.raises(ValueError):
         finite_up_abp([parse_up(AB, "(a)^w"), parse_up(ABC, "(c)^w")])
+
+
+def test_synth_large_transient_scc():
+    f = dma_transient_cycle()
+    w = synthesize_abp_witness(f)
+    assert verify_abp_witness(f, w)
+    assert w.e.accepts("a" * 19 + "b")
+    assert not w.e.accepts("a" * 10 + "b")
+
+
+def test_verify_round_tripped_witness_of_strongly_connected_dma():
+    # read back from OAF, fprime carries its materialized family as one
+    # explicit atom that shares nothing with the condition of f
+    f = dma_strongly_connected_16()
+    w = synthesize_abp_witness(f)
+    e = parse_oaf(serialize_oaf(from_open(w.e))).to_open()
+    fprime = parse_oaf(serialize_oaf(from_dma(w.fprime))).to_dma()
+    assert verify_abp_witness(f, ABPWitness(e, fprime))
+    check = verify_abp_witness(f, ABPWitness(empty_open(AB), fprime))
+    assert check.failed == "containment"
+    assert up_membership(f, check.counterexample)
+    assert not up_membership(fprime, check.counterexample)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from omegabaire import (
 )
 from omegabaire import ball_open, complement, intersection
 
-from helpers import AB, dma_ball_a, dma_inf_a, dma_singleton, random_dma
+from helpers import AB, dma_ball_a, dma_inf_a, dma_singleton, dma_transient_cycle, random_dma
 
 
 def dma_eventually_only_a() -> DMA:
@@ -142,3 +142,11 @@ def test_avoided_infix_sound_and_implies_nowhere_dense():
         from omegabaire import is_empty
         assert is_empty(intersection(a, must_contain))
     assert found >= 10
+
+
+def test_large_transient_scc_is_neither_dense_nor_nowhere_dense():
+    # a prefix into the rejecting sink has no extension in the language,
+    # and the ball of a prefix into the accepting sink lies inside it
+    a = dma_transient_cycle()
+    assert not is_dense(a)
+    assert not is_nowhere_dense(a)

@@ -66,12 +66,15 @@ def test_measure_document_weights_used(oaf_dir, capsys, tmp_path):
 
 
 def test_multi_file_prefixes_and_jobs(oaf_dir, capsys):
-    code, out, _ = run(capsys, "measure", oaf_dir["full"], oaf_dir["ball_a"],
-                       "--jobs", "2")
+    code, out, _ = run(capsys, "measure", oaf_dir["full"], oaf_dir["ball_a"])
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == f"{oaf_dir['full']}: 1"
     assert lines[1] == f"{oaf_dir['ball_a']}: 1/2"
+    # files are processed one after another; there is no --jobs option
+    code, _, _ = run(capsys, "measure", oaf_dir["full"], oaf_dir["ball_a"],
+                     "--jobs", "2")
+    assert code == 2
 
 
 def test_decision_commands(oaf_dir, capsys):
