@@ -50,6 +50,14 @@ class FamilyTooLargeError(ValueError):
     """Raised when an explicit acceptance family would be astronomically big."""
 
 
+class InvariantError(RuntimeError):
+    """A computed result failed the self-check it must pass to be returned.
+
+    Raised by explicit checks rather than ``assert``, so that it also fires
+    under ``python -O``.
+    """
+
+
 # ---------------------------------------------------------------------------
 # graphs
 
@@ -650,7 +658,8 @@ def _lasso_witness(a: DMA, D: frozenset[int]) -> UPWord:
                 v = sym
                 break
     witness = up_normalize(a.alphabet, u, v)
-    assert up_membership(a, witness), "constructed witness must be accepted"
+    if not up_membership(a, witness):
+        raise InvariantError("constructed witness must be accepted")
     return witness
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .automata import (
     DMA,
+    InvariantError,
     OpenSet,
     avoid_infix_dma,
     complement,
@@ -91,9 +92,11 @@ def synthesize_abp_witness(f: DMA) -> ABPWitness:
     e = OpenSet.from_parts(f.alphabet, f.n_states, f.initial, f.transitions, finals)
     fprime = symdiff(f, open_to_dma(e))
     witness = ABPWitness(e, fprime)
-    assert mu(fprime) == 0, "synthesized symmetric difference must be null"
+    if mu(fprime) != 0:
+        raise InvariantError("synthesized symmetric difference must be null")
     check = verify_abp_witness(f, witness)
-    assert check, f"synthesized witness failed verification: {check.failed}"
+    if not check:
+        raise InvariantError(f"synthesized witness failed verification: {check.failed}")
     return witness
 
 
@@ -112,7 +115,8 @@ def union_witness(f1: DMA, w1: ABPWitness, f2: DMA, w2: ABPWitness) -> ABPWitnes
     fprime = union(w1.fprime, w2.fprime)
     result = ABPWitness(e, fprime)
     check = verify_abp_witness(union(f1, f2), result)
-    assert check, f"union witness failed verification: {check.failed}"
+    if not check:
+        raise InvariantError(f"union witness failed verification: {check.failed}")
     return result
 
 
@@ -131,11 +135,13 @@ def complement_witness(f: DMA, w: ABPWitness) -> ABPWitness:
     not_e = complement(e_dma)
     ec = interior(not_e)
     boundary = intersection(not_e, complement(open_to_dma(ec)))
-    assert is_nowhere_dense(boundary), "boundary of a closed set must be nowhere dense"
+    if not is_nowhere_dense(boundary):
+        raise InvariantError("boundary of a closed set must be nowhere dense")
     fprime = union(w.fprime, boundary)
     result = ABPWitness(ec, fprime)
     check = verify_abp_witness(complement(f), result)
-    assert check, f"complement witness failed verification: {check.failed}"
+    if not check:
+        raise InvariantError(f"complement witness failed verification: {check.failed}")
     return result
 
 
@@ -156,8 +162,11 @@ def finite_up_abp(xs: list[UPWord]) -> ABPWitness:
     for x in xs:
         block = avoid_infix_dma(alphabet, up_non_infix_witness(x))
         fprime = block if fprime is None else union(fprime, block)
-    assert fprime is not None
+    if fprime is None:
+        raise InvariantError("a non-empty word list must give a covering language")
     for x in xs:
-        assert up_membership(fprime, x), f"{x} must lie in the covering language"
-    assert is_meager(fprime), "finite UP covering must be meager"
+        if not up_membership(fprime, x):
+            raise InvariantError(f"{x} must lie in the covering language")
+    if not is_meager(fprime):
+        raise InvariantError("finite UP covering must be meager")
     return ABPWitness(empty_open(alphabet), fprime)

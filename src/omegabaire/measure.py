@@ -5,13 +5,18 @@ random run of a deterministic automaton enters some bottom strongly
 connected component and then almost surely visits all of its states
 infinitely often.  The probability of acceptance from each state therefore
 satisfies a linear system: 0 or 1 on bottom components, and the one-step
-average elsewhere.  The system is solved exactly over ``Fraction``, one
-condensation block at a time in reverse topological order.
+average elsewhere.  The system is solved one condensation block at a time
+in reverse topological order, so the values a block depends on outside it
+are already known.  Each block is an integer matrix (the weights scaled by
+the lcm of their denominators) with a rational right-hand side, solved
+exactly by Bareiss's fraction-free elimination: integer arithmetic with one
+exact division per update, and one ``Fraction`` per unknown at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
 
 from .automata import DMA, Dfa, OpenSet, strongly_connected_components
@@ -67,23 +72,51 @@ def check_weights(alphabet: Alphabet, weights: dict[str, Fraction] | None
     return vec
 
 
-def solve_linear_system(matrix: list[list[Fraction]], rhs: list[Fraction]
-                        ) -> list[Fraction]:
-    """Gaussian elimination with partial pivoting, exact over rationals."""
+def solve_linear_system(matrix: Sequence[Sequence[int | Fraction]],
+                        rhs: Sequence[int | Fraction]) -> list[Fraction]:
+    """Exact solution of ``matrix . x = rhs`` by fraction-free elimination.
+
+    Entries may be ``int`` or ``Fraction``.  Each augmented row is scaled by
+    the lcm of its denominators, so elimination runs on integers only.
+    Bareiss's update ``(p*a - c*b) // prev`` divides exactly by the previous
+    pivot, which keeps every entry a minor of the scaled matrix rather than
+    a product of all pivots (Bareiss 1968).  A zero pivot is swapped for the
+    next row below it with a nonzero entry in its column.  With ``det`` the
+    last pivot, back-substitution finds the integer Cramer numerators
+    ``X[i] = det * x[i]`` with one exact division per row, and each result
+    is ``Fraction(X[i], det)``.  Raises ``ValueError`` on a singular matrix.
+    """
     m = len(rhs)
-    A = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(m):
-        pivot = max(range(col, m), key=lambda r: abs(A[r][col]))
-        if A[pivot][col] == 0:
-            raise ValueError("singular linear system")
-        A[col], A[pivot] = A[pivot], A[col]
-        inv = A[col][col]
-        A[col] = [v / inv for v in A[col]]
-        for r in range(m):
-            if r != col and A[r][col]:
-                f = A[r][col]
-                A[r] = [v - f * w for v, w in zip(A[r], A[col])]
-    return [A[i][m] for i in range(m)]
+    A = []
+    for row, b in zip(matrix, rhs):
+        aug = [*row, b]
+        scale = lcm(*(v.denominator for v in aug))
+        A.append([v.numerator * (scale // v.denominator) for v in aug])
+    prev = 1
+    for k in range(m):
+        if A[k][k] == 0:
+            swap = next((r for r in range(k + 1, m) if A[r][k]), None)
+            if swap is None:
+                raise ValueError("singular linear system")
+            A[k], A[swap] = A[swap], A[k]
+        pivot_row = A[k]
+        p = pivot_row[k]
+        for i in range(k + 1, m):
+            row = A[i]
+            c = row[k]
+            if c:
+                row[k:] = [0] + [(p * a - c * b) // prev
+                                 for a, b in zip(row[k + 1:], pivot_row[k + 1:])]
+            else:
+                row[k + 1:] = [p * a // prev for a in row[k + 1:]]
+        prev = p
+    det = prev
+    X = [0] * m
+    for i in range(m - 1, -1, -1):
+        row = A[i]
+        s = det * row[m] - sum(row[j] * X[j] for j in range(i + 1, m))
+        X[i] = s // row[i]
+    return [Fraction(x, det) for x in X]
 
 
 def _markov_values(n_states: int, rows: Sequence[Sequence[int]],
@@ -108,17 +141,25 @@ def _markov_values(n_states: int, rows: Sequence[Sequence[int]],
 
 
 def _solve_block(comp: list[int], rows, wvec, p: list) -> None:
+    """Solve ``D*p[q] - sum(D*w_s*p[t] for t inside) = sum(D*w_s*p[t] outside)``.
+
+    ``D`` is the lcm of the weight denominators, so the matrix is integer
+    and only the right-hand side, built from values already known, holds
+    fractions.
+    """
     idx = {q: i for i, q in enumerate(comp)}
     m = len(comp)
-    A = [[Fraction(0)] * m for _ in range(m)]
-    b = [Fraction(0) for _ in range(m)]
+    D = lcm(*(w.denominator for w in wvec))
+    iw = [w.numerator * (D // w.denominator) for w in wvec]
+    A = [[0] * m for _ in range(m)]
+    b: list[int | Fraction] = [0] * m
     for i, q in enumerate(comp):
-        A[i][i] += 1
+        A[i][i] = D
         for si, t in enumerate(rows[q]):
             if t in idx:
-                A[i][idx[t]] -= wvec[si]
+                A[i][idx[t]] -= iw[si]
             else:
-                b[i] += wvec[si] * p[t]
+                b[i] += iw[si] * p[t]
     x = solve_linear_system(A, b)
     for i, q in enumerate(comp):
         p[q] = x[i]

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .automata import (
+    InvariantError,
     ball_open,
     closure,
     intersection,
@@ -141,7 +142,8 @@ def f2_member_up(x: UPWord, spec: CounterLanguageSpec | None = None) -> bool:
         if drift >= 0:
             return True
         laps += 1
-        assert laps <= first + 2, "negative drift must reach zero quickly"
+        if laps > first + 2:
+            raise InvariantError("negative drift must reach zero quickly")
 
 
 def f1_member_up(x: UPWord, spec: CounterLanguageSpec | None = None,
@@ -184,7 +186,8 @@ def f1_member_up(x: UPWord, spec: CounterLanguageSpec | None = None,
             # laps repeat it shifted upward, so no candidate ever completes
             return False
         laps += 1
-        assert laps <= first + 2, "negative drift must reach zero quickly"
+        if laps > first + 2:
+            raise InvariantError("negative drift must reach zero quickly")
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +236,14 @@ def min_positive_root(k: int, precision: int = 64) -> Interval:
         raise ValueError("precision must be positive")
     lo = Fraction(0)
     hi = Fraction(3, 4) if k == 2 else Fraction(1)
-    assert _ball_poly(k, lo) > 0 > _ball_poly(k, hi)
+    if not _ball_poly(k, lo) > 0 > _ball_poly(k, hi):
+        raise InvariantError("the ball polynomial must change sign on the bracket")
     eps = Fraction(1, 2**precision)
     while hi - lo > eps:
         mid = (lo + hi) / 2
         v = _ball_poly(k, mid)
-        assert v != 0, "the root is irrational, a rational midpoint cannot hit it"
+        if v == 0:
+            raise InvariantError("the root is irrational, a rational midpoint cannot hit it")
         if v > 0:
             lo = mid
         else:
@@ -326,7 +331,8 @@ def irrationality_certificate(k: int) -> IrrationalityCertificate:
             (Fraction(c), _ball_poly(k, Fraction(c))) for c in (1, -1)
         )
         cert = IrrationalityCertificate(k, cubic, cands)
-    assert cert.replay(), "fresh certificate must replay"
+    if not cert.replay():
+        raise InvariantError("fresh certificate must replay")
     return cert
 
 
@@ -374,7 +380,8 @@ def f2_nowhere_dense_witness(spec: CounterLanguageSpec, w: str) -> str:
     if r.status != PROPER_PREFIX:
         raise ValueError("witness extension needs a word with positive counter")
     z = spec.terminal * r.trace[-1]
-    assert counter_run(spec, w + z).status == IN_V
+    if counter_run(spec, w + z).status != IN_V:
+        raise InvariantError("the extended word must lie in V")
     return z
 
 
@@ -443,20 +450,20 @@ def f1_refute_open(e: OpenSet, precision: int = 64,
     mu_e = measure_open(e)
     e_dma = open_to_dma(e)
     cl = closure(e_dma)
-    assert mu(cl) == mu_e, "a regular open set has a null boundary"
+    if mu(cl) != mu_e:
+        raise InvariantError("a regular open set has a null boundary")
     bits = max(8, precision)
     iv = min_positive_root(3, bits)
     while iv.lo <= 3 * mu_e <= iv.hi:
         bits *= 2
         iv = min_positive_root(3, bits)
-        assert bits <= 1 << 24, "separation must occur at finite precision"
+        if bits > 1 << 24:
+            raise InvariantError("separation must occur at finite precision")
     side = "less" if 3 * mu_e < iv.lo else "greater"
     replay_bits = 2 * bits
     iv2 = min_positive_root(3, replay_bits)
-    if side == "less":
-        assert 3 * mu_e < iv2.lo
-    else:
-        assert 3 * mu_e > iv2.hi
+    if not (3 * mu_e < iv2.lo if side == "less" else 3 * mu_e > iv2.hi):
+        raise InvariantError("the separation must replay at double precision")
     witness = kind = None
     if side == "less":
         for v in spec.alphabet.iter_words(1, max(0, search_cap - 1)):

@@ -68,6 +68,38 @@ def dma_transient_cycle(n: int = 20) -> DMA:
     return DMA.from_parts(AB, n + 2, 0, rows, [{accept}])
 
 
+def dma_transient_scc(rng: random.Random, n: int, alphabet: Alphabet = AB,
+                      p_exit: float = 0.15) -> DMA:
+    """One transient SCC of ``n`` states feeding three bottom components.
+
+    Symbol 0 follows a random Hamiltonian cycle through states 0..n-1, so
+    they form one SCC; every other edge stays inside it, or with
+    probability ``p_exit`` leaves for a bottom.  The bottoms are an
+    accepting sink ``n``, a rejecting sink ``n+1`` and a two-state cycle
+    ``{n+2, n+3}`` that is rejecting because only ``{n+2}`` is in the family.
+    Two fixed leaks reach both sinks, so every transient probability lies
+    strictly between 0 and 1.
+    """
+    k = len(alphabet)
+    accept, reject, b0, b1 = n, n + 1, n + 2, n + 3
+    order = list(range(n))
+    rng.shuffle(order)
+    nxt = {order[i]: order[(i + 1) % n] for i in range(n)}
+    bottoms = (accept, reject, b0)
+    rows = [
+        [nxt[q]] + [
+            rng.choice(bottoms) if rng.random() < p_exit else rng.randrange(n)
+            for _ in range(1, k)
+        ]
+        for q in range(n)
+    ]
+    leak_accept, leak_reject = rng.sample(range(n), 2)
+    rows[leak_accept][k - 1] = accept
+    rows[leak_reject][k - 1] = reject
+    rows += [[accept] * k, [reject] * k, [b1] * k, [b0] * k]
+    return DMA.from_parts(alphabet, n + 4, 0, rows, [{accept}, {b0}])
+
+
 def dma_strongly_connected_16() -> DMA:
     """A strongly connected 16-state DMA with a four-member family."""
     n = 16
@@ -120,6 +152,29 @@ def random_weights(rng: random.Random, alphabet: Alphabet) -> dict[str, Fraction
 
 # ---------------------------------------------------------------------------
 # oracles
+
+
+def gauss_jordan_oracle(matrix: list[list[Fraction]], rhs: list[Fraction]
+                        ) -> list[Fraction]:
+    """Gaussian elimination with partial pivoting, exact over rationals.
+
+    The library's solver before fraction-free elimination replaced it.
+    Entries must be ``Fraction``: on ``int`` rows ``v / inv`` is a float.
+    """
+    m = len(rhs)
+    A = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(m):
+        pivot = max(range(col, m), key=lambda r: abs(A[r][col]))
+        if A[pivot][col] == 0:
+            raise ValueError("singular linear system")
+        A[col], A[pivot] = A[pivot], A[col]
+        inv = A[col][col]
+        A[col] = [v / inv for v in A[col]]
+        for r in range(m):
+            if r != col and A[r][col]:
+                f = A[r][col]
+                A[r] = [v - f * w for v, w in zip(A[r], A[col])]
+    return [A[i][m] for i in range(m)]
 
 
 def up_equal_oracle(x: UPWord, y: UPWord, slack: int = 4) -> bool:

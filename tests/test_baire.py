@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -282,3 +286,33 @@ def test_witness_symdiff_is_meager():
         delta = symdiff(f, open_to_dma(w.e))
         assert is_meager(delta)
         assert contains(w.fprime, delta)
+
+
+def test_synthesis_self_check_survives_optimized_mode():
+    # Under ``python -O`` every ``assert`` is stripped; the check that stops
+    # an unverified witness from being returned must still fire.
+    code = textwrap.dedent("""
+        import sys
+        from omegabaire import InvariantError, WitnessCheck, baire
+        from helpers import dma_ball_a
+
+        print("optimize:", sys.flags.optimize)
+        baire.verify_abp_witness = lambda f, w: WitnessCheck(False, "meager")
+        try:
+            baire.synthesize_abp_witness(dma_ball_a())
+        except InvariantError as exc:
+            print("raised:", exc)
+        else:
+            print("returned an unverified witness")
+    """)
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src, here, env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "optimize: 1",
+        "raised: synthesized witness failed verification: meager",
+    ]

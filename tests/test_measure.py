@@ -6,6 +6,7 @@ import pytest
 from omegabaire import (
     DMA,
     Dfa,
+    OpenSet,
     PrefixFreeViolation,
     acceptance_probabilities,
     accepting_witness,
@@ -26,12 +27,17 @@ from omegabaire import (
     uniform_weights,
     union,
 )
+from omegabaire import measure
+from omegabaire.measure import solve_linear_system
 
 from helpers import (
     AB,
+    ABC,
     dma_ball_a,
     dma_inf_a,
     dma_survival_dp,
+    dma_transient_scc,
+    gauss_jordan_oracle,
     random_dma,
     random_weights,
     rerooted,
@@ -66,6 +72,94 @@ def test_format_decimal_rounds_half_away():
 def test_uniform_weights():
     w = uniform_weights(AB)
     assert w == {"a": Fraction(1, 2), "b": Fraction(1, 2)}
+
+
+# ---------------------------------------------------------------------------
+# the exact linear solver
+
+
+def _oracle_solve(matrix, rhs):
+    return gauss_jordan_oracle([[Fraction(v) for v in row] for row in matrix],
+                               [Fraction(v) for v in rhs])
+
+
+def _random_system(rng: random.Random):
+    """A square system mixing int, Fraction and zero entries.
+
+    A third of the systems zero the leading block of one row, which forces
+    a row swap at that pivot; a fifth are made singular, by a zero column
+    or by one row being a combination of two others.
+    """
+    m = rng.randint(1, 12)
+
+    def entry():
+        r = rng.random()
+        if r < 0.3:
+            return 0
+        if r < 0.6:
+            return rng.randint(-9, 9)
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+    A = [[entry() for _ in range(m)] for _ in range(m)]
+    b = [entry() for _ in range(m)]
+    kind = rng.random()
+    if kind < 0.35:
+        t = rng.randrange(m)
+        A[t][:t + 1] = [0] * (t + 1)
+    elif kind < 0.45:
+        col = rng.randrange(m)
+        for row in A:
+            row[col] = 0
+    elif kind < 0.55 and m >= 3:
+        i, j, k = rng.sample(range(m), 3)
+        x, y = Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-3, 3)
+        A[k] = [x * u + y * v for u, v in zip(A[i], A[j])]
+    return A, b
+
+
+def test_solver_matches_gauss_jordan_oracle():
+    rng = random.Random(71)
+    solved = singular = 0
+    for _ in range(300):
+        A, b = _random_system(rng)
+        try:
+            expected = _oracle_solve(A, b)
+        except ValueError:
+            with pytest.raises(ValueError, match="singular"):
+                solve_linear_system(A, b)
+            singular += 1
+            continue
+        got = solve_linear_system(A, b)
+        assert got == expected
+        assert all(type(v) is Fraction for v in got)
+        solved += 1
+    assert solved >= 150 and singular >= 30
+
+
+def test_solver_swaps_zero_pivots():
+    # each leading pivot is zero until rows are exchanged
+    A = [[0, 0, 1], [0, 2, 0], [Fraction(1, 3), 0, 0]]
+    b = [5, Fraction(1, 2), 1]
+    assert solve_linear_system(A, b) == [Fraction(3), Fraction(1, 4), Fraction(5)]
+    # a zero pivot appears only after the first elimination step
+    A = [[1, 2, 3], [2, 4, 7], [1, 3, 1]]
+    assert solve_linear_system(A, [6, 13, 5]) == _oracle_solve(A, [6, 13, 5])
+    with pytest.raises(ValueError, match="singular"):
+        solve_linear_system([[1, 2], [Fraction(1, 2), 1]], [1, 1])
+
+
+def test_solver_matches_sympy_on_larger_systems():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(72)
+    for m in (30, 34, 38):
+        A = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+              if rng.random() < 0.4 else 0 for _ in range(m)] for _ in range(m)]
+        b = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(m)]
+        M = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row]
+                          for row in A])
+        B = sympy.Matrix([sympy.Rational(v.numerator, v.denominator) for v in b])
+        expected = [Fraction(int(v.p), int(v.q)) for v in M.LUsolve(B)]
+        assert solve_linear_system(A, b) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -215,3 +309,65 @@ def test_sigma_rejects_non_prefix_free():
 def test_sigma_weighted():
     w = {"a": Fraction(1, 4), "b": Fraction(3, 4)}
     assert sigma_prefix_free(_word_set_dfa(["a", "ba"]), w) == Fraction(1, 4) + Fraction(3, 4) * Fraction(1, 4)
+
+
+# ---------------------------------------------------------------------------
+# cross-checks at realistic sizes
+
+
+@pytest.mark.parametrize("weights", [
+    None,
+    {"a": Fraction(2, 7), "b": Fraction(5, 7)},
+], ids=["uniform", "skewed"])
+def test_probabilities_satisfy_fixpoint_at_200_states(weights):
+    a = dma_transient_scc(random.Random(73), 200)
+    p = acceptance_probabilities(a, weights)
+    w = uniform_weights(AB) if weights is None else weights
+    wvec = [w[s] for s in a.alphabet.symbols]
+    bottoms = bsccs(a)
+    on_bottom = set().union(*bottoms)
+    assert a.n_states - len(on_bottom) == 200
+    for C in bottoms:
+        assert all(p[q] == (1 if a.accepts_set(C) else 0) for q in C)
+    for q in range(a.n_states):
+        assert type(p[q]) is Fraction
+        if q not in on_bottom:
+            assert 0 < p[q] < 1
+            assert p[q] == sum(x * p[t] for x, t in zip(wvec, a.transitions[q]))
+
+
+def _accept_sink_views(a: DMA):
+    """The set of runs reaching an accepting sink, as an open set and as
+    the prefix-free language of the words that first reach it."""
+    bottoms = bsccs(a)
+    finals = frozenset(q for C in bottoms if a.accepts_set(C) for q in C)
+    dead = next(q for C in bottoms if not a.accepts_set(C) for q in C)
+    k = len(a.alphabet)
+    e = OpenSet.from_parts(a.alphabet, a.n_states, a.initial, a.transitions, finals)
+    rows = tuple((dead,) * k if q in finals else a.transitions[q]
+                 for q in range(a.n_states))
+    return e, Dfa(a.alphabet, a.n_states, a.initial, rows, finals)
+
+
+@pytest.mark.parametrize("n,alphabet", [(12, AB), (25, ABC), (40, AB)],
+                         ids=["12-ab", "25-abc", "40-ab"])
+def test_measures_match_oracle_solver(monkeypatch, n, alphabet):
+    rng = random.Random(74 + n)
+    a = dma_transient_scc(rng, n, alphabet)
+    e, d = _accept_sink_views(a)
+    w = random_weights(rng, alphabet)
+    got = [(f(x), f(x, w)) for f, x in ((mu, a), (measure_open, e),
+                                        (sigma_prefix_free, d))]
+    sizes = []
+
+    def oracle(matrix, rhs):
+        sizes.append(len(rhs))
+        return _oracle_solve(matrix, rhs)
+
+    monkeypatch.setattr(measure, "solve_linear_system", oracle)
+    expected = [(f(x), f(x, w)) for f, x in ((mu, a), (measure_open, e),
+                                             (sigma_prefix_free, d))]
+    assert sizes == [n] * 6
+    assert got == expected
+    # the only accepting bottom is a sink, so all three measure one event
+    assert got[0] == got[1] == got[2]
