@@ -11,6 +11,13 @@ automaton can still be materialized on demand.
 :class:`OpenSet` represents an open subset ``W . X^omega`` of the Cantor
 space of omega-words as a DFA with absorbing final states.
 
+One iterative Tarjan, :func:`strongly_connected_components`, serves every
+graph question: emptiness, closure, interior, density, and the bottom
+components behind measure and category.  It runs directly on the subgraph
+induced on a region of states.  Each :class:`DMA` computes its nontrivial
+SCCs and its live states at most once and caches them; a complement shares
+its operand's SCCs, since the transitions are the same.
+
 State ids are always normalized to breadth-first shortlex order from the
 initial state (which therefore is state 0), and unreachable states are
 pruned on construction; serialization of equal automata is thus identical.
@@ -19,7 +26,7 @@ pruned on construction; serialization of equal automata is thus identical.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .conditions import (
     FALSE,
@@ -62,75 +69,67 @@ class InvariantError(RuntimeError):
 # graphs
 
 
-def strongly_connected_components(n_states: int, rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative.
+def strongly_connected_components(rows: Sequence[Sequence[int]],
+                                  region: Collection[int]) -> list[list[int]]:
+    """Tarjan's algorithm, iterative, on the subgraph induced on ``region``.
 
-    Components come in emission order, which is reverse topological: each
-    one follows every component it reaches.
+    Edges leaving ``region`` are ignored; pass ``range(len(rows))`` for the
+    whole graph.  Components are sorted lists and come in emission order,
+    which is reverse topological: each one follows every component it
+    reaches.
     """
-    index = [-1] * n_states
-    low = [0] * n_states
-    on_stack = [False] * n_states
+    # A state whose component has been emitted gets index ``done``, above
+    # every low-link, so edges into finished components never lower one.
+    done = len(rows)
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
     stack: list[int] = []
     comps: list[list[int]] = []
-    counter = 0
-    for root in range(n_states):
-        if index[root] != -1:
+    for root in region:
+        if root in index:
             continue
         work = [(root, 0)]
         while work:
             q, ei = work[-1]
             if ei == 0:
-                index[q] = low[q] = counter
-                counter += 1
+                index[q] = low[q] = len(index)
                 stack.append(q)
-                on_stack[q] = True
-            advanced = False
             row = rows[q]
             while ei < len(row):
                 t = row[ei]
                 ei += 1
-                if index[t] == -1:
+                if t not in region:
+                    continue
+                if t not in index:
                     work[-1] = (q, ei)
                     work.append((t, 0))
-                    advanced = True
                     break
-                if on_stack[t]:
-                    low[q] = min(low[q], index[t])
-            if advanced:
-                continue
-            work.pop()
-            if low[q] == index[q]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == q:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                pq, _ = work[-1]
-                low[pq] = min(low[pq], low[q])
+                if index[t] < low[q]:
+                    low[q] = index[t]
+            else:
+                work.pop()
+                if low[q] == index[q]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = done
+                        comp.append(w)
+                        if w == q:
+                            break
+                    comp.sort()
+                    comps.append(comp)
+                elif low[q] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[q]
     return comps
 
 
-def _induced_sccs(rows: Sequence[Sequence[int]], region: frozenset[int]) -> list[frozenset[int]]:
-    """Nontrivial SCCs of the subgraph induced on ``region``."""
-    order = sorted(region)
-    pos = {q: i for i, q in enumerate(order)}
-    sub = [[pos[t] for t in rows[q] if t in region] for q in order]
-    out = []
-    for comp in strongly_connected_components(len(order), sub):
-        states = frozenset(order[i] for i in comp)
-        if len(states) > 1:
-            out.append(states)
-        else:
-            (q,) = states
-            if any(t == q for t in rows[q] if t in region):
-                out.append(states)
-    out.sort(key=min)
-    return out
+def _induced_sccs(rows: Sequence[Sequence[int]], region: Collection[int]) -> list[frozenset[int]]:
+    """SCCs of the subgraph induced on ``region`` that hold a cycle (more
+    than one state, or a self-loop), least state first."""
+    comps = [c for c in strongly_connected_components(rows, region)
+             if len(c) > 1 or c[0] in rows[c[0]]]
+    comps.sort()
+    return [frozenset(c) for c in comps]
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +292,18 @@ def open_union(e1: OpenSet, e2: OpenSet) -> OpenSet:
 
 
 class DMA:
-    """Deterministic automaton accepting by the set of states seen infinitely often."""
+    """Deterministic automaton accepting by the set of states seen infinitely often.
 
-    __slots__ = ("alphabet", "n_states", "initial", "transitions", "cond", "_family")
+    :meth:`from_parts` is the validating constructor, for input from outside
+    the program; the plain constructor trusts the rows that the library
+    builds itself.  Instances are treated as immutable, so each one caches
+    what it learns about its graph: the explicit family, the nontrivial SCCs
+    (which depend only on the transitions) and the live states (which depend
+    on the condition too).
+    """
+
+    __slots__ = ("alphabet", "n_states", "initial", "transitions", "cond",
+                 "_family", "_sccs", "_live")
 
     def __init__(self, alphabet: Alphabet, n_states: int, initial: int,
                  transitions: tuple[tuple[int, ...], ...], cond: Cond,
@@ -303,9 +311,12 @@ class DMA:
         self.alphabet = alphabet
         self.n_states = n_states
         self.initial = initial
-        self.transitions = _check_rows(alphabet, n_states, transitions)
+        self.transitions = transitions
         self.cond = cond
         self._family = family
+        # Kept as sorted tuples, which take less memory than frozensets.
+        self._sccs: tuple[tuple[int, ...], ...] | None = None
+        self._live: tuple[int, ...] | None = None
 
     @classmethod
     def from_parts(cls, alphabet: Alphabet, n_states: int, initial: int,
@@ -376,21 +387,27 @@ class DMA:
         )
 
 
+def nontrivial_sccs(a: DMA) -> list[frozenset[int]]:
+    """The SCCs of ``a`` that hold a cycle, least state first.
+
+    Computed once per automaton and cached on it.
+    """
+    if a._sccs is None:
+        a._sccs = tuple(tuple(sorted(C)) for C in
+                        _induced_sccs(a.transitions, range(a.n_states)))
+    return [frozenset(C) for C in a._sccs]
+
+
 def _realizable_sets(a: DMA) -> list[frozenset[int]]:
     """All candidate infinitely-visited sets: cycle-closed subsets of SCCs."""
     rows = a.transitions
     out: list[frozenset[int]] = []
-    for comp in strongly_connected_components(a.n_states, rows):
+    for comp in nontrivial_sccs(a):
         if len(comp) > _MATERIALIZE_SCC_LIMIT:
             raise FamilyTooLargeError(
                 f"cannot materialize acceptance family: a strongly connected "
                 f"component has {len(comp)} states (limit {_MATERIALIZE_SCC_LIMIT})"
             )
-        if len(comp) == 1:
-            q = comp[0]
-            if any(t == q for t in rows[q]):
-                out.append(frozenset(comp))
-            continue
         for size in range(1, len(comp) + 1):
             for sub in combinations(comp, size):
                 s = frozenset(sub)
@@ -456,8 +473,9 @@ def boolean_combine(a: DMA, b: DMA | None, mode: str) -> DMA:
     if mode == "complement":
         if b is not None:
             raise ValueError("complement takes a single automaton")
-        return DMA(a.alphabet, a.n_states, a.initial, a.transitions,
-                   c_not(a.cond), None)
+        c = DMA(a.alphabet, a.n_states, a.initial, a.transitions, c_not(a.cond))
+        c._sccs = a._sccs
+        return c
     if b is None:
         raise ValueError(f"mode {mode!r} needs two automata")
     if a.alphabet != b.alphabet:
@@ -602,17 +620,17 @@ def _refine(rows, region: frozenset[int], exact: dict[Atom, frozenset[int]],
     return None
 
 
-def _accepting_sets(rows, cond: Cond) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
-    """``(C, D)`` for each SCC ``C``, least state first, holding a
+def _accepting_sets(a: DMA, cond: Cond) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
+    """``(C, D)`` for each SCC ``C`` of ``a``, least state first, holding a
     cycle-closed ``D`` that satisfies ``cond``."""
-    for C in _induced_sccs(rows, frozenset(range(len(rows)))):
-        D = _search_scc(rows, cond, C)
+    for C in nontrivial_sccs(a):
+        D = _search_scc(a.transitions, cond, C)
         if D is not None:
             yield C, D
 
 
 def _find_accepting_set(a: DMA) -> frozenset[int] | None:
-    return next((D for _, D in _accepting_sets(a.transitions, a.cond)), None)
+    return next((D for _, D in _accepting_sets(a, a.cond)), None)
 
 
 def _bfs_word(a: DMA, src: int, targets: frozenset[int],
@@ -721,7 +739,7 @@ def equivalent(a: DMA, b: DMA) -> bool:
 def _positive_states(a: DMA, cond: Cond) -> set[int]:
     """States of SCCs containing a cycle-closed set satisfying ``cond``."""
     out: set[int] = set()
-    for C, _ in _accepting_sets(a.transitions, cond):
+    for C, _ in _accepting_sets(a, cond):
         out |= C
     return out
 
@@ -742,9 +760,14 @@ def _states_reaching(a: DMA, targets: set[int]) -> set[int]:
     return seen
 
 
-def _live_states(a: DMA) -> set[int]:
-    """States with a non-empty forward language."""
-    return _states_reaching(a, _positive_states(a, a.cond))
+def _live_states(a: DMA) -> tuple[int, ...]:
+    """States with a non-empty forward language, in increasing order.
+
+    Computed once per automaton and cached on it.
+    """
+    if a._live is None:
+        a._live = tuple(sorted(_states_reaching(a, _positive_states(a, a.cond))))
+    return a._live
 
 
 def _live_restriction(a: DMA) -> tuple[list[tuple[int, ...]], int, int | None] | None:
@@ -755,12 +778,11 @@ def _live_restriction(a: DMA) -> tuple[list[tuple[int, ...]], int, int | None] |
     rows, the initial state and the sink (or None).
     """
     live = _live_states(a)
-    if a.initial not in live:
+    renum = {q: i for i, q in enumerate(live)}
+    if a.initial not in renum:
         return None
-    order = sorted(live)
-    renum = {q: i for i, q in enumerate(order)}
-    sink = len(order)
-    rows = [tuple(renum.get(t, sink) for t in a.transitions[q]) for q in order]
+    sink = len(live)
+    rows = [tuple(renum.get(t, sink) for t in a.transitions[q]) for q in live]
     if not any(sink in row for row in rows):
         return rows, renum[a.initial], None
     rows.append((sink,) * len(a.alphabet))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence
 
-from .automata import DMA, Dfa, OpenSet, strongly_connected_components
+from .automata import DMA, Dfa, OpenSet, nontrivial_sccs, strongly_connected_components
 from .conditions import evaluate
 from .words import Alphabet
 
@@ -129,7 +129,7 @@ def _markov_values(n_states: int, rows: Sequence[Sequence[int]],
     the current component already has its value.
     """
     p: list[Fraction | None] = [None] * n_states
-    for comp in strongly_connected_components(n_states, rows):
+    for comp in strongly_connected_components(rows, range(n_states)):
         cset = frozenset(comp)
         if all(t in cset for q in comp for t in rows[q]):
             val = bottom_value(cset)
@@ -166,18 +166,17 @@ def _solve_block(comp: list[int], rows, wvec, p: list) -> None:
 
 
 def bsccs(a: DMA) -> list[frozenset[int]]:
-    """Bottom strongly connected components of the (reachable) state graph.
+    """Bottom strongly connected components of the (reachable) state graph,
+    least state first.
 
     Every state is reachable by construction; a random full-support run ends
-    up inside one of these and almost surely visits all of it forever.
+    up inside one of these and almost surely visits all of it forever.  In a
+    complete automaton every state has a successor, so a bottom component
+    holds a cycle and is among the cached :func:`nontrivial_sccs`.
     """
-    comps = strongly_connected_components(a.n_states, a.transitions)
-    out = []
-    for comp in comps:
-        cset = frozenset(comp)
-        if all(t in cset for q in comp for t in a.transitions[q]):
-            out.append(cset)
-    return out
+    rows = a.transitions
+    return [C for C in nontrivial_sccs(a)
+            if all(t in C for q in C for t in rows[q])]
 
 
 def acceptance_probabilities(a: DMA, weights: dict[str, Fraction] | None = None

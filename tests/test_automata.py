@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from omegabaire import automata
 from omegabaire import (
     DMA,
     OpenSet,
@@ -20,7 +21,9 @@ from omegabaire import (
     full_open,
     interior,
     intersection,
+    is_dense,
     is_empty,
+    is_nowhere_dense,
     open_to_dma,
     open_union,
     parse_up,
@@ -72,6 +75,46 @@ def test_accepts_set_uses_family():
     a = dma_inf_a()
     assert a.accepts_set({0}) and a.accepts_set({0, 1})
     assert not a.accepts_set({1}) and not a.accepts_set(set())
+
+
+# ---------------------------------------------------------------------------
+# strongly connected components
+
+
+def _random_region(rng, n, trial):
+    if trial % 10 == 0:
+        return frozenset()
+    if trial % 10 == 1:
+        return range(n)
+    if trial % 10 == 2:
+        return frozenset(range(n))
+    density = rng.random()
+    return frozenset(q for q in range(n) if rng.random() < density)
+
+
+def test_scc_matches_networkx_on_random_regions():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(31)
+    for trial in range(300):
+        n = rng.randint(1, 60)
+        rows = [tuple(rng.randrange(n) for _ in range(rng.randint(1, 3))) for _ in range(n)]
+        region = _random_region(rng, n, trial)
+        g = nx.DiGraph()
+        g.add_nodes_from(region)
+        g.add_edges_from((q, t) for q in region for t in rows[q] if t in region)
+        expected = {frozenset(c) for c in nx.strongly_connected_components(g)}
+
+        comps = automata.strongly_connected_components(rows, region)
+        assert all(c == sorted(c) for c in comps)
+        assert {frozenset(c) for c in comps} == expected
+        assert sum(len(c) for c in comps) == len(region)
+        # reverse topological: each component follows every one it reaches
+        pos = {q: i for i, c in enumerate(comps) for q in c}
+        assert all(pos[t] <= pos[q] for q in region for t in rows[q] if t in region)
+
+        cyclic = sorted((c for c in expected if len(c) > 1 or g.has_edge(min(c), min(c))),
+                        key=min)
+        assert automata._induced_sccs(rows, region) == cyclic
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +283,44 @@ def test_closure_interior_duality():
         lhs = open_to_dma(interior(a))
         rhs = complement(closure(complement(a)))
         assert equivalent(lhs, rhs)
+
+
+def _difference_chain():
+    # a.X^w  ∩  (a.X^w ∪ {b^w})  minus  a*ba^w; its live states and those of
+    # its complement differ, and neither language is dense or nowhere dense
+    return intersection(intersection(dma_ball_a(), dma_a_ball_or_bw()),
+                        complement(dma_one_b()))
+
+
+def _query_results(a):
+    it, pd = interior(a), pref_dfa(a)
+    return (accepting_witness(a), (it.transitions, it.finals), (pd.transitions, pd.finals))
+
+
+def test_graph_of_each_automaton_analysed_once(monkeypatch):
+    calls = []
+    positive_states = automata._positive_states
+
+    def counting(a, cond):
+        calls.append((a, cond))
+        return positive_states(a, cond)
+
+    monkeypatch.setattr(automata, "_positive_states", counting)
+    a = _difference_chain()
+    first = _query_results(a)
+    assert not is_dense(a)
+    closure(a)
+    assert not is_nowhere_dense(a)
+    assert sum(1 for b, cond in calls if b is a and cond is a.cond) == 1
+    assert _query_results(a) == first
+
+    # the complement shares the transitions, so the SCCs, but not the live set
+    c, fresh = complement(a), complement(_difference_chain())
+    assert not equivalent(closure(a), closure(fresh))
+    last = _query_results(fresh)
+    cl, fresh_cl = closure(c), closure(fresh)
+    assert cl.transitions == fresh_cl.transitions and equivalent(cl, fresh_cl)
+    assert _query_results(c) == last
 
 
 # ---------------------------------------------------------------------------
