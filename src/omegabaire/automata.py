@@ -6,17 +6,20 @@ satisfies the acceptance condition.  User-facing automata carry an explicit
 family of state sets; automata derived by boolean combinations, closure and
 interior carry a structured condition instead (see ``conditions``), which
 keeps products of products tractable.  The explicit family of a derived
-automaton can still be materialized on demand.
+automaton can still be materialized on demand: the cycle-closed subsets of
+each SCC are listed by recursive SCC splitting, at O(n^2 |alphabet|) work
+per listed set, up to 2^18 - 1 sets per component.
 
 :class:`OpenSet` represents an open subset ``W . X^omega`` of the Cantor
 space of omega-words as a DFA with absorbing final states.
 
 One iterative Tarjan, :func:`strongly_connected_components`, serves every
-graph question: emptiness, closure, interior, density, and the bottom
-components behind measure and category.  It runs directly on the subgraph
-induced on a region of states.  Each :class:`DMA` computes its nontrivial
-SCCs and its live states at most once and caches them; a complement shares
-its operand's SCCs, since the transitions are the same.
+graph question: emptiness, closure, interior, density, family
+materialization, and the bottom components behind measure and category.
+It runs directly on the subgraph induced on a region of states.  Each
+:class:`DMA` computes its nontrivial SCCs and its live states at most once
+and caches them; a complement shares its operand's SCCs, since the
+transitions are the same.
 
 State ids are always normalized to breadth-first shortlex order from the
 initial state (which therefore is state 0), and unreachable states are
@@ -25,7 +28,6 @@ pruned on construction; serialization of equal automata is thus identical.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .conditions import (
@@ -47,10 +49,12 @@ from .conditions import (
 )
 from .words import Alphabet, UPWord, up_normalize
 
-# Practical bound on the component size during family materialization, which
-# enumerates every subset of a component.  Inputs beyond it are rejected with
-# a clear error instead of running for hours; emptiness search has no bound.
-_MATERIALIZE_SCC_LIMIT = 18
+# Bound on the cycle-closed subsets of one component that family
+# materialization lists, each at a cost of O(n^2 |alphabet|).  2^18 - 1 is the
+# number of non-empty subsets of an 18-state component, the largest component
+# an earlier subset enumeration accepted, so every such input still passes.
+# Emptiness search has no bound.
+_MATERIALIZE_LIMIT = 2**18 - 1
 
 
 class FamilyTooLargeError(ValueError):
@@ -263,26 +267,33 @@ def ball_open(alphabet: Alphabet, word: str) -> OpenSet:
     return OpenSet.from_parts(alphabet, L + 2, 0, rows, [final])
 
 
-def open_union(e1: OpenSet, e2: OpenSet) -> OpenSet:
-    """Union of two open sets (product DFA, then absorbing canonical form)."""
-    if e1.alphabet != e2.alphabet:
-        raise ValueError("alphabet mismatch")
-    k = len(e1.alphabet)
-    pairs = {(e1.initial, e2.initial): 0}
-    order = [(e1.initial, e2.initial)]
+def _reachable_product(a: Dfa | DMA, b: Dfa | DMA
+                       ) -> tuple[list[tuple[int, int]], tuple[tuple[int, ...], ...]]:
+    """The pairs of states reachable in the synchronous product, numbered
+    breadth-first in symbol order from the pair of initial states, and the
+    product's transition rows over those numbers."""
+    pairs = {(a.initial, b.initial): 0}
+    order = [(a.initial, b.initial)]
     rows = []
     i = 0
     while i < len(order):
-        q1, q2 = order[i]
+        qa, qb = order[i]
         row = []
-        for si in range(k):
-            t = (e1.transitions[q1][si], e2.transitions[q2][si])
+        for t in zip(a.transitions[qa], b.transitions[qb]):
             if t not in pairs:
                 pairs[t] = len(order)
                 order.append(t)
             row.append(pairs[t])
-        rows.append(row)
+        rows.append(tuple(row))
         i += 1
+    return order, tuple(rows)
+
+
+def open_union(e1: OpenSet, e2: OpenSet) -> OpenSet:
+    """Union of two open sets (product DFA, then absorbing canonical form)."""
+    if e1.alphabet != e2.alphabet:
+        raise ValueError("alphabet mismatch")
+    order, rows = _reachable_product(e1, e2)
     finals = [j for j, (q1, q2) in enumerate(order) if q1 in e1.finals or q2 in e2.finals]
     return OpenSet.from_parts(e1.alphabet, len(order), 0, rows, finals)
 
@@ -368,14 +379,15 @@ class DMA:
     def acceptance(self) -> tuple[frozenset[int], ...]:
         """Explicit acceptance family.
 
-        For derived automata this enumerates every set realizable as the
+        For derived automata this lists every set realizable as the
         infinitely-visited set of some run and keeps the accepted ones; the
-        result denotes the same language.  Raises
-        :class:`FamilyTooLargeError` past a practical size bound.
+        result denotes the same language.  The work is O(n^2 |alphabet|)
+        per realizable set.  Raises :class:`FamilyTooLargeError` when one
+        SCC holds more than 2^18 - 1 realizable sets.
         """
         if self._family is None:
             fam = tuple(
-                s for s in _realizable_sets(self) if evaluate(self.cond, s)
+                frozenset(s) for s in _realizable_sets(self) if evaluate(self.cond, s)
             )
             self._family = fam
         return self._family
@@ -398,60 +410,42 @@ def nontrivial_sccs(a: DMA) -> list[frozenset[int]]:
     return [frozenset(C) for C in a._sccs]
 
 
-def _realizable_sets(a: DMA) -> list[frozenset[int]]:
-    """All candidate infinitely-visited sets: cycle-closed subsets of SCCs."""
+def _realizable_sets(a: DMA) -> list[tuple[int, ...]]:
+    """All candidate infinitely-visited sets: cycle-closed subsets of SCCs,
+    as sorted tuples (which take less memory than frozensets), smallest
+    first.
+
+    Splits each SCC ``S`` recursively: after reporting ``S``, the i-th state
+    ``q`` of ``S`` outside ``kept`` in sorted order spawns the SCCs of
+    ``S - {q}`` that contain ``kept``, and then joins ``kept``.  A
+    cycle-closed ``D`` inside ``S`` other than ``S`` is strongly connected,
+    so it lies in one such SCC, and the branch taken is the one for the
+    least state missing from ``D`` that is not kept.  So every set is
+    reached along exactly one branch, each at a cost of at most ``|S|``
+    Tarjan runs.
+    """
     rows = a.transitions
-    out: list[frozenset[int]] = []
+    out: list[tuple[int, ...]] = []
     for comp in nontrivial_sccs(a):
-        if len(comp) > _MATERIALIZE_SCC_LIMIT:
-            raise FamilyTooLargeError(
-                f"cannot materialize acceptance family: a strongly connected "
-                f"component has {len(comp)} states (limit {_MATERIALIZE_SCC_LIMIT})"
-            )
-        for size in range(1, len(comp) + 1):
-            for sub in combinations(comp, size):
-                s = frozenset(sub)
-                if _is_cycle_closed(rows, s):
-                    out.append(s)
-    out.sort(key=lambda s: (len(s), sorted(s)))
+        count = 0
+        work: list[tuple[frozenset[int], frozenset[int]]] = [(comp, frozenset())]
+        while work:
+            S, kept = work.pop()
+            count += 1
+            if count > _MATERIALIZE_LIMIT:
+                raise FamilyTooLargeError(
+                    f"cannot materialize acceptance family: a strongly connected "
+                    f"component of {len(comp)} states has more than "
+                    f"{_MATERIALIZE_LIMIT} cycle-closed subsets"
+                )
+            out.append(tuple(sorted(S)))
+            for q in sorted(S - kept):
+                for T in _induced_sccs(rows, S - {q}):
+                    if kept <= T:
+                        work.append((T, kept))
+                kept = kept | {q}
+    out.sort(key=lambda s: (len(s), s))
     return out
-
-
-def _is_cycle_closed(rows, states: frozenset[int]) -> bool:
-    """Can some run visit exactly ``states`` forever (strongly connected,
-    each state with a successor inside)?"""
-    if not states:
-        return False
-    if len(states) == 1:
-        (q,) = states
-        return any(t == q for t in rows[q])
-    start = min(states)
-    # forward cover within states
-    seen = {start}
-    stack = [start]
-    while stack:
-        q = stack.pop()
-        for t in rows[q]:
-            if t in states and t not in seen:
-                seen.add(t)
-                stack.append(t)
-    if seen != states:
-        return False
-    # backward cover within states
-    preds: dict[int, set[int]] = {q: set() for q in states}
-    for q in states:
-        for t in rows[q]:
-            if t in states:
-                preds[t].add(q)
-    seen = {start}
-    stack = [start]
-    while stack:
-        q = stack.pop()
-        for t in preds[q]:
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen == states
 
 
 # ---------------------------------------------------------------------------
@@ -480,22 +474,7 @@ def boolean_combine(a: DMA, b: DMA | None, mode: str) -> DMA:
         raise ValueError(f"mode {mode!r} needs two automata")
     if a.alphabet != b.alphabet:
         raise ValueError("alphabet mismatch")
-    k = len(a.alphabet)
-    pairs = {(a.initial, b.initial): 0}
-    order = [(a.initial, b.initial)]
-    rows = []
-    i = 0
-    while i < len(order):
-        qa, qb = order[i]
-        row = []
-        for si in range(k):
-            t = (a.transitions[qa][si], b.transitions[qb][si])
-            if t not in pairs:
-                pairs[t] = len(order)
-                order.append(t)
-            row.append(pairs[t])
-        rows.append(tuple(row))
-        i += 1
+    order, rows = _reachable_product(a, b)
     cache: dict = {}
     cond_a = remap(a.cond, [p[0] for p in order], cache)
     cond_b = remap(b.cond, [p[1] for p in order], cache)
@@ -507,7 +486,7 @@ def boolean_combine(a: DMA, b: DMA | None, mode: str) -> DMA:
         cond = c_xor(cond_a, cond_b)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return DMA(a.alphabet, len(order), 0, tuple(rows), cond)
+    return DMA(a.alphabet, len(order), 0, rows, cond)
 
 
 def union(a: DMA, b: DMA) -> DMA:

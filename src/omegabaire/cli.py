@@ -78,6 +78,16 @@ def _read_open(path: str) -> OpenSet:
     return _read_doc(path).to_open()
 
 
+def _write_outputs(docs: dict[str, OafDocument]) -> None:
+    """Write each document to its path, opening none before all are
+    serialized.  The caller builds the documents first, which materializes
+    their families, so an output refused there or here leaves no file."""
+    texts = {path: serialize_oaf(doc) for path, doc in docs.items()}
+    for path, text in texts.items():
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def _parse_measure_spec(text: str, alphabet: Alphabet) -> dict[str, Fraction]:
     if text == "uniform":
         return uniform_weights(alphabet)
@@ -179,10 +189,7 @@ def _cmd_contains(args) -> int:
 def _cmd_abp_synth(args) -> int:
     f, _ = _read_dma(args.file)
     w = synthesize_abp_witness(f)
-    with open(args.out_e, "w", encoding="utf-8") as fh:
-        fh.write(serialize_oaf(from_open(w.e)))
-    with open(args.out_fprime, "w", encoding="utf-8") as fh:
-        fh.write(serialize_oaf(from_dma(w.fprime)))
+    _write_outputs({args.out_e: from_open(w.e), args.out_fprime: from_dma(w.fprime)})
     print("ok")
     return 0
 
@@ -209,11 +216,10 @@ def _cmd_abp_finite_up(args) -> int:
         alphabet = Alphabet(symbols)
     xs = [parse_up(alphabet, text) for text in args.upwords]
     w = finite_up_abp(xs)
-    with open(args.out_fprime, "w", encoding="utf-8") as fh:
-        fh.write(serialize_oaf(from_dma(w.fprime)))
+    outputs = {args.out_fprime: from_dma(w.fprime)}
     if args.out_e is not None:
-        with open(args.out_e, "w", encoding="utf-8") as fh:
-            fh.write(serialize_oaf(from_open(w.e)))
+        outputs[args.out_e] = from_open(w.e)
+    _write_outputs(outputs)
     print("ok")
     return 0
 

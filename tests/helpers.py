@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from omegabaire import DMA, Alphabet, OpenSet, UPWord, up_normalize
+from omegabaire.automata import nontrivial_sccs
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -270,6 +271,61 @@ def emptiness_oracle(a: DMA) -> bool:
             if _subset_has_covering_cycle(a.transitions, s) and a.accepts_set(s):
                 return False
     return True
+
+
+def realizable_sets_oracle(a: DMA) -> list[frozenset[int]]:
+    """All cycle-closed subsets of the SCCs of ``a``, by testing every subset.
+
+    The library's enumeration before recursive SCC splitting replaced it,
+    without its bound of 18 states per component.
+    """
+    rows = a.transitions
+    out: list[frozenset[int]] = []
+    for comp in nontrivial_sccs(a):
+        for size in range(1, len(comp) + 1):
+            for sub in combinations(comp, size):
+                s = frozenset(sub)
+                if _is_cycle_closed(rows, s):
+                    out.append(s)
+    out.sort(key=lambda s: (len(s), sorted(s)))
+    return out
+
+
+def _is_cycle_closed(rows, states: frozenset[int]) -> bool:
+    """Can some run visit exactly ``states`` forever (strongly connected,
+    each state with a successor inside)?"""
+    if not states:
+        return False
+    if len(states) == 1:
+        (q,) = states
+        return any(t == q for t in rows[q])
+    start = min(states)
+    # forward cover within states
+    seen = {start}
+    stack = [start]
+    while stack:
+        q = stack.pop()
+        for t in rows[q]:
+            if t in states and t not in seen:
+                seen.add(t)
+                stack.append(t)
+    if seen != states:
+        return False
+    # backward cover within states
+    preds: dict[int, set[int]] = {q: set() for q in states}
+    for q in states:
+        for t in rows[q]:
+            if t in states:
+                preds[t].add(q)
+    seen = {start}
+    stack = [start]
+    while stack:
+        q = stack.pop()
+        for t in preds[q]:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen == states
 
 
 def rerooted(a: DMA, state: int) -> DMA:

@@ -5,17 +5,28 @@ import pytest
 from omegabaire import (
     DMA,
     ball_open,
+    closure,
+    equivalent,
     from_dma,
     from_open,
+    is_empty,
     mu,
     open_to_dma,
     parse_oaf,
     serialize_oaf,
 )
+from omegabaire import automata
 from omegabaire.cli import main
 from omegabaire.onecounter import F1_ALPHABET
 
-from helpers import AB, dma_ball_a, dma_inf_a, dma_singleton
+from helpers import (
+    AB,
+    dma_ball_a,
+    dma_inf_a,
+    dma_singleton,
+    dma_strongly_connected_16,
+    dma_transient_cycle,
+)
 
 
 @pytest.fixture()
@@ -240,16 +251,60 @@ def test_error_exit_codes(oaf_dir, capsys, tmp_path):
     assert code == 2 and err
 
 
-def test_internal_limit_exit_code(capsys, tmp_path):
-    # a 20-state single cycle: materializing the complement's acceptance
-    # family exceeds the component-size bound and must exit 3
+def test_internal_limit_exit_code(capsys, tmp_path, monkeypatch):
+    # the complement's family is materialized for output; past the bound on
+    # the cycle-closed subsets of one component the command must exit 3
+    p = tmp_path / "sc16.oaf"
+    p.write_text(serialize_oaf(from_dma(dma_strongly_connected_16())))
+    monkeypatch.setattr(automata, "_MATERIALIZE_LIMIT", 100)
+    code, out, err = run(capsys, "boolean", "complement", str(p))
+    assert code == 3 and out == ""
+    assert "internal error" in err
+    assert "component of 16 states" in err and "more than 100" in err
+
+
+def test_complement_of_long_cycle_is_written(capsys, tmp_path):
+    # a 20-state single cycle has one cycle-closed subset, which the family
+    # accepts, so its complement is empty however large the component
     n = 20
     rows = [[(q + 1) % n, (q + 1) % n] for q in range(n)]
     big = DMA.from_parts(AB, n, 0, rows, [set(range(n))])
     p = tmp_path / "big.oaf"
     p.write_text(serialize_oaf(from_dma(big)))
-    code, _, err = run(capsys, "boolean", "complement", str(p))
-    assert code == 3 and "internal error" in err
+    code, out, _ = run(capsys, "boolean", "complement", str(p))
+    assert code == 0
+    assert is_empty(parse_oaf(out).to_dma())
+
+
+def test_failed_synth_writes_no_output(capsys, tmp_path, monkeypatch):
+    p = tmp_path / "sc16.oaf"
+    p.write_text(serialize_oaf(from_dma(dma_strongly_connected_16())))
+    out_e, out_fp = tmp_path / "e.oaf", tmp_path / "fp.oaf"
+    monkeypatch.setattr(automata, "_MATERIALIZE_LIMIT", 100)
+    code, out, err = run(capsys, "abp", "synth", str(p),
+                         "--out-e", str(out_e), "--out-fprime", str(out_fp))
+    assert code == 3 and out == "" and "internal error" in err
+    assert not out_e.exists() and not out_fp.exists()
+
+
+def test_closure_of_large_transient_scc_is_written(capsys, tmp_path):
+    a = dma_transient_cycle()
+    p = tmp_path / "cycle.oaf"
+    p.write_text(serialize_oaf(from_dma(a)))
+    code, out, _ = run(capsys, "closure", str(p))
+    assert code == 0
+    assert equivalent(parse_oaf(out).to_dma(), closure(a))
+
+
+def test_synth_and_verify_large_transient_scc(capsys, tmp_path):
+    p = tmp_path / "cycle.oaf"
+    p.write_text(serialize_oaf(from_dma(dma_transient_cycle())))
+    out_e, out_fp = str(tmp_path / "e.oaf"), str(tmp_path / "fp.oaf")
+    code, out, _ = run(capsys, "abp", "synth", str(p), "--out-e", out_e,
+                       "--out-fprime", out_fp)
+    assert (code, out) == (0, "ok\n")
+    code, out, _ = run(capsys, "abp", "verify", str(p), out_e, out_fp)
+    assert (code, out) == (0, "true\n")
 
 
 def test_output_deterministic(oaf_dir, capsys):

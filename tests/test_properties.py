@@ -5,9 +5,17 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from omegabaire import DMA, complement, is_meager, is_meager_via_measure  # noqa: E402
+from omegabaire import (  # noqa: E402
+    DMA,
+    closure,
+    complement,
+    is_meager,
+    is_meager_via_measure,
+    union,
+)
+from omegabaire.automata import _realizable_sets  # noqa: E402
 
-from helpers import AB, ABC  # noqa: E402
+from helpers import AB, ABC, realizable_sets_oracle  # noqa: E402
 
 
 def _reach(rows, q) -> frozenset[int]:
@@ -57,3 +65,38 @@ def test_graph_meagerness_matches_measure(a):
     # the complement reuses the SCCs cached on ``a`` by the first call
     for d in (a, complement(a)):
         assert is_meager(d) == is_meager_via_measure(d)
+
+
+@st.composite
+def random_dmas(draw, max_states, alphabets=(AB, ABC)):
+    """DMAs of 1 to ``max_states`` states with up to four family members.
+
+    Symbol 0 walks the states ``0 .. m-1`` round a cycle, for a drawn ``m``,
+    so one SCC has at least ``m`` states; every other edge is arbitrary.
+    """
+    n = draw(st.sampled_from(range(1, max_states + 1)))
+    m = draw(st.sampled_from(range(1, n + 1)))
+    alphabet = draw(st.sampled_from(alphabets))
+    rows = [[(q + 1) % m if si == 0 and q < m else draw(st.integers(0, n - 1))
+             for si in range(len(alphabet))] for q in range(n)]
+    members = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=4))
+    return DMA.from_parts(alphabet, n, 0, rows, members)
+
+
+@st.composite
+def derived_dmas(draw):
+    """Random DMAs of up to 12 states, their complements and closures, and
+    unions of 4- and 3-state ones: every SCC has at most 12 states."""
+    op = draw(st.sampled_from(["plain", "complement", "closure", "union"]))
+    if op == "union":
+        a = draw(random_dmas(4))
+        b = draw(random_dmas(3, (a.alphabet,)))
+        return union(a, b)
+    a = draw(random_dmas(12))
+    return {"plain": a, "complement": complement(a), "closure": closure(a)}[op]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(derived_dmas())
+def test_realizable_sets_match_subset_enumeration(a):
+    assert [frozenset(s) for s in _realizable_sets(a)] == realizable_sets_oracle(a)
