@@ -6,11 +6,17 @@ decisions), 2 for usage, parse or input errors, 3 when an internal
 invariant or resource bound is violated.  Output is deterministic for
 identical inputs and flags; with several input files, results are
 emitted in input order, one line per file prefixed with the file name.
+
+The argument parser is built on the first ``main`` call and kept for the
+rest of the process, so in-process callers pay for it once; importing the
+module builds nothing.  Commands name their handlers, which ``main`` looks
+up in this module on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -26,6 +32,8 @@ from .automata import (
     up_membership,
 )
 from .baire import ABPWitness, finite_up_abp, synthesize_abp_witness, verify_abp_witness
+# the decision commands call is_meager, is_dense, is_nowhere_dense and
+# contains_disjunctive by name (see _build_parser)
 from .category import (
     avoided_infix,
     contains_disjunctive,
@@ -49,7 +57,7 @@ from .onecounter import (
     min_positive_root,
     survival_probability,
 )
-from .words import Alphabet, parse_up
+from .words import Alphabet, parse_up, split_up
 
 
 def _bool_text(b: bool) -> str:
@@ -129,11 +137,10 @@ def _cmd_measure(args) -> int:
     return _run_per_file(args, one)
 
 
-def _decision_cmd(decide):
-    def run(args) -> int:
-        return _run_per_file(args, lambda p: _bool_text(decide(_read_dma(p)[0])))
-
-    return run
+def _cmd_decision(args) -> int:
+    """A decision command: ``args.decide`` names the function in this module."""
+    decide = globals()[args.decide]
+    return _run_per_file(args, lambda p: _bool_text(decide(_read_dma(p)[0])))
 
 
 def _cmd_empty(args) -> int:
@@ -212,8 +219,8 @@ def _cmd_abp_finite_up(args) -> int:
     if args.alphabet is not None:
         alphabet = Alphabet(args.alphabet)
     else:
-        symbols = sorted({s for text in args.upwords for s in text if s not in "()^w"})
-        alphabet = Alphabet(symbols)
+        parts = [split_up(text) for text in args.upwords]
+        alphabet = Alphabet(sorted({s for u, v in parts for s in u + v}))
     xs = [parse_up(alphabet, text) for text in args.upwords]
     w = finite_up_abp(xs)
     outputs = {args.out_fprime: from_dma(w.fprime)}
@@ -284,7 +291,15 @@ def _cmd_v3_f2_member(args) -> int:
 # parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and kept for the process.
+
+    Each command's defaults name its handler (and, for a decision command,
+    its decision function) rather than hold it, and ``main`` looks the name
+    up in this module at call time, so a function replaced after the parser
+    was built is the one called.
+    """
     meas = argparse.ArgumentParser(add_help=False)
     meas.add_argument("--measure", metavar="SPEC", default=None,
                       help="'uniform' or symbol weights like 'a=1/2 b=1/2'")
@@ -306,50 +321,51 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def files_cmd(name, func, parents, help_text):
+    def files_cmd(name, handler, parents, help_text, **defaults):
         sp = sub.add_parser(name, parents=parents, help=help_text)
         sp.add_argument("files", nargs="+", metavar="FILE")
-        sp.set_defaults(func=func)
+        sp.set_defaults(handler=handler, **defaults)
         return sp
 
-    files_cmd("measure", _cmd_measure, [meas],
+    files_cmd("measure", "_cmd_measure", [meas],
               "exact Bernoulli measure of each automaton language")
-    files_cmd("meager", _decision_cmd(is_meager), [],
-              "is the language of first Baire category?")
-    files_cmd("dense", _decision_cmd(is_dense), [],
-              "is the language dense?")
-    files_cmd("nowhere-dense", _decision_cmd(is_nowhere_dense), [],
-              "does the closure contain no ball?")
-    files_cmd("disjunctive", _decision_cmd(contains_disjunctive), [],
-              "does the language contain a disjunctive word?")
-    files_cmd("avoided-infix", _cmd_avoided_infix, [witness],
+    files_cmd("meager", "_cmd_decision", [],
+              "is the language of first Baire category?", decide="is_meager")
+    files_cmd("dense", "_cmd_decision", [],
+              "is the language dense?", decide="is_dense")
+    files_cmd("nowhere-dense", "_cmd_decision", [],
+              "does the closure contain no ball?", decide="is_nowhere_dense")
+    files_cmd("disjunctive", "_cmd_decision", [],
+              "does the language contain a disjunctive word?",
+              decide="contains_disjunctive")
+    files_cmd("avoided-infix", "_cmd_avoided_infix", [witness],
               "shortlex-least infix avoided by the whole (meager) language")
-    files_cmd("empty", _cmd_empty, [],
+    files_cmd("empty", "_cmd_empty", [],
               "emptiness, with an ultimately periodic witness if non-empty")
 
     sp = sub.add_parser("closure", help="topological closure, as an automaton")
     sp.add_argument("file", metavar="FILE")
-    sp.set_defaults(func=_cmd_closure)
+    sp.set_defaults(handler="_cmd_closure")
 
     sp = sub.add_parser("interior", help="topological interior, as an open set")
     sp.add_argument("file", metavar="FILE")
-    sp.set_defaults(func=_cmd_interior)
+    sp.set_defaults(handler="_cmd_interior")
 
     sp = sub.add_parser("boolean", help="boolean algebra on languages")
     sp.add_argument("mode", choices=["union", "intersection", "complement", "symdiff"])
     sp.add_argument("a", metavar="A")
     sp.add_argument("b", metavar="B", nargs="?", default=None)
-    sp.set_defaults(func=_cmd_boolean)
+    sp.set_defaults(handler="_cmd_boolean")
 
     sp = sub.add_parser("member-up", help="membership of an ultimately periodic word")
     sp.add_argument("file", metavar="FILE")
     sp.add_argument("upword", metavar="UPWORD", help="syntax u(v)^w")
-    sp.set_defaults(func=_cmd_member_up)
+    sp.set_defaults(handler="_cmd_member_up")
 
     sp = sub.add_parser("contains", help="does the first language contain the second?")
     sp.add_argument("a", metavar="A")
     sp.add_argument("b", metavar="B")
-    sp.set_defaults(func=_cmd_contains)
+    sp.set_defaults(handler="_cmd_contains")
 
     abp = sub.add_parser("abp", help="open-modulo-meager witness machinery")
     absub = abp.add_subparsers(dest="abp_command", required=True)
@@ -357,12 +373,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file", metavar="F")
     sp.add_argument("--out-e", required=True, metavar="PATH")
     sp.add_argument("--out-fprime", required=True, metavar="PATH")
-    sp.set_defaults(func=_cmd_abp_synth)
+    sp.set_defaults(handler="_cmd_abp_synth")
     sp = absub.add_parser("verify", help="verify a witness pair against F")
     sp.add_argument("file", metavar="F")
     sp.add_argument("e", metavar="E")
     sp.add_argument("fprime", metavar="FPRIME")
-    sp.set_defaults(func=_cmd_abp_verify)
+    sp.set_defaults(handler="_cmd_abp_verify")
     sp = absub.add_parser("finite-up",
                           help="meager cover of finitely many UP words")
     sp.add_argument("upwords", nargs="+", metavar="UPWORD")
@@ -370,42 +386,42 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out-e", default=None, metavar="PATH")
     sp.add_argument("--alphabet", default=None, metavar="SYMS",
                     help="alphabet symbols, e.g. 'ab' (default: inferred)")
-    sp.set_defaults(func=_cmd_abp_finite_up)
+    sp.set_defaults(handler="_cmd_abp_finite_up")
 
     v3 = sub.add_parser("v3", help="the one-counter language family")
     vsub = v3.add_subparsers(dest="v3_command", required=True)
     sp = vsub.add_parser("member", help="finite-word membership")
     sp.add_argument("word", metavar="WORD")
-    sp.set_defaults(func=_cmd_v3_member)
+    sp.set_defaults(handler="_cmd_v3_member")
     sp = vsub.add_parser("prefix", help="is the word a proper prefix of members?")
     sp.add_argument("word", metavar="WORD")
-    sp.set_defaults(func=_cmd_v3_prefix)
+    sp.set_defaults(handler="_cmd_v3_prefix")
     sp = vsub.add_parser("root", parents=[precision, digits],
                          help="bracket the ball-measure fixed point")
     sp.add_argument("-k", type=int, required=True, metavar="K",
                     help="alphabet size (>= 2)")
-    sp.set_defaults(func=_cmd_v3_root)
+    sp.set_defaults(handler="_cmd_v3_root")
     sp = vsub.add_parser("irrational", help="irrationality certificate for the root")
     sp.add_argument("-k", type=int, required=True, metavar="K")
-    sp.set_defaults(func=_cmd_v3_irrational)
+    sp.set_defaults(handler="_cmd_v3_irrational")
     sp = vsub.add_parser("survival", parents=[meas],
                          help="exact probability the counter survives n steps")
     sp.add_argument("-n", type=int, required=True, metavar="N")
-    sp.set_defaults(func=_cmd_v3_survival)
+    sp.set_defaults(handler="_cmd_v3_survival")
     sp = vsub.add_parser("f2-witness",
                          help="extension killing a surviving prefix")
     sp.add_argument("word", metavar="WORD")
-    sp.set_defaults(func=_cmd_v3_f2_witness)
+    sp.set_defaults(handler="_cmd_v3_f2_witness")
     sp = vsub.add_parser("f1-refute", parents=[precision, witness, digits],
                          help="refute an open approximation of F1")
     sp.add_argument("file", metavar="E_FILE")
-    sp.set_defaults(func=_cmd_v3_f1_refute)
+    sp.set_defaults(handler="_cmd_v3_f1_refute")
     sp = vsub.add_parser("f1-member", help="UP-word membership in F1")
     sp.add_argument("upword", metavar="UPWORD")
-    sp.set_defaults(func=_cmd_v3_f1_member)
+    sp.set_defaults(handler="_cmd_v3_f1_member")
     sp = vsub.add_parser("f2-member", help="UP-word membership in F2")
     sp.add_argument("upword", metavar="UPWORD")
-    sp.set_defaults(func=_cmd_v3_f2_member)
+    sp.set_defaults(handler="_cmd_v3_f2_member")
 
     return p
 
@@ -417,7 +433,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        return globals()[args.handler](args)
     except FamilyTooLargeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .automata import (
     InvariantError,
@@ -94,19 +95,27 @@ def counter_run(spec: CounterLanguageSpec, word: str) -> CounterRun:
     return CounterRun(PROPER_PREFIX, tuple(trace))
 
 
+def _counter_step(alive: dict[int, int], arity: int,
+                  terminal: int, branching: int) -> dict[int, int]:
+    """One letter more: each count at counter value c moves to c - 1 (if
+    still positive) scaled by ``terminal`` and to c + arity - 1 scaled by
+    ``branching``.  Integer weights keep the whole recursion in integers."""
+    new: dict[int, int] = {}
+    for c, n in alive.items():
+        if c > 1:
+            new[c - 1] = new.get(c - 1, 0) + n * terminal
+        up = c + arity - 1
+        new[up] = new.get(up, 0) + n * branching
+    return new
+
+
 def member_length_counts(spec: CounterLanguageSpec, max_len: int) -> list[int]:
     """Number of members of V of each length 0..max_len (exact DP)."""
     alive = {1: 1}  # counter value -> number of still-positive words
     counts = [0]
     for _ in range(max_len):
         counts.append(alive.get(1, 0))
-        new: dict[int, int] = {}
-        for c, n in alive.items():
-            if c > 1:
-                new[c - 1] = new.get(c - 1, 0) + n
-            up = c + spec.arity - 1
-            new[up] = new.get(up, 0) + n
-        alive = new
+        alive = _counter_step(alive, spec.arity, 1, 1)
     return counts
 
 
@@ -229,26 +238,36 @@ def min_positive_root(k: int, precision: int = 64) -> Interval:
     Bisection with exact endpoints.  The bracket starts at (0, 1) where the
     polynomial is strictly decreasing, so the sign change is unique; for
     k = 2 the upper end is lowered to 3/4 to cut off the spurious root at 1.
+    The endpoints are kept as integer numerators lo/2^j and hi/2^j, and
+    the sign at m/2^j is that of 8^j p(m/2^j) = m^3 - k m 4^j + 8^j, so
+    the search runs in exact integer arithmetic; the ``Interval`` is built
+    once at the end.
     """
     if k < 2:
         raise ValueError("alphabet size must be at least 2")
     if precision < 1:
         raise ValueError("precision must be positive")
-    lo = Fraction(0)
-    hi = Fraction(3, 4) if k == 2 else Fraction(1)
-    if not _ball_poly(k, lo) > 0 > _ball_poly(k, hi):
+
+    def cleared(m: int, j: int) -> int:
+        return m**3 - (k * m << 2 * j) + (1 << 3 * j)
+
+    lo, hi, j = (0, 3, 2) if k == 2 else (0, 1, 0)  # the bracket [lo/2^j, hi/2^j]
+    if not cleared(lo, j) > 0 > cleared(hi, j):
         raise InvariantError("the ball polynomial must change sign on the bracket")
-    eps = Fraction(1, 2**precision)
-    while hi - lo > eps:
-        mid = (lo + hi) / 2
-        v = _ball_poly(k, mid)
+    # hi - lo never changes, so the width (hi - lo)/2^j is above
+    # 2^-precision exactly while (hi - lo) 2^precision > 2^j
+    scaled_width = (hi - lo) << precision
+    while scaled_width > 1 << j:
+        mid = lo + hi
+        lo, hi, j = 2 * lo, 2 * hi, j + 1
+        v = cleared(mid, j)
         if v == 0:
             raise InvariantError("the root is irrational, a rational midpoint cannot hit it")
         if v > 0:
             lo = mid
         else:
             hi = mid
-    return Interval(lo, hi)
+    return Interval(Fraction(lo, 1 << j), Fraction(hi, 1 << j))
 
 
 @dataclass(frozen=True)
@@ -344,23 +363,27 @@ def survival_sequence(spec: CounterLanguageSpec, n: int,
                       weights: dict[str, Fraction] | None = None
                       ) -> list[Fraction]:
     """P(counter stays positive for 0..n steps), exact; decreases to the
-    measure of the omega-language F2."""
+    measure of the omega-language F2.
+
+    Both letter weights are scaled by D, the lcm of their denominators, so
+    the distribution is kept as integer counts; after k steps the counts
+    are probabilities times D^k, and only the per-step sums are turned into
+    fractions.
+    """
     if n < 0:
         raise ValueError("step count must be >= 0")
     wvec = check_weights(spec.alphabet, weights)
     wt = wvec[spec.alphabet.index(spec.terminal)]
     wb = wvec[spec.alphabet.index(spec.branching)]
-    dist = {1: Fraction(1)}
+    d = lcm(wt.denominator, wb.denominator)
+    terminal, branching = int(wt * d), int(wb * d)
+    dist = {1: 1}  # counter value -> probability times d^k after k steps
     out = [Fraction(1)]
+    scale = 1
     for _ in range(n):
-        new: dict[int, Fraction] = {}
-        for c, p in dist.items():
-            if c > 1:
-                new[c - 1] = new.get(c - 1, Fraction(0)) + p * wt
-            up = c + spec.arity - 1
-            new[up] = new.get(up, Fraction(0)) + p * wb
-        dist = new
-        out.append(sum(dist.values(), Fraction(0)))
+        dist = _counter_step(dist, spec.arity, terminal, branching)
+        scale *= d
+        out.append(Fraction(sum(dist.values()), scale))
     return out
 
 

@@ -151,12 +151,18 @@ def up_normalize(alphabet: Alphabet, prefix: str, period: str) -> UPWord:
 _UP_RE = re.compile(r"(.*)\((.+)\)\^w\Z")
 
 
-def parse_up(alphabet: Alphabet, text: str) -> UPWord:
-    """Parse ``u(v)^w`` notation (empty prefix allowed) and normalize."""
+def split_up(text: str) -> tuple[str, str]:
+    """The prefix u and period v of ``u(v)^w`` notation, not yet checked
+    against any alphabet."""
     m = _UP_RE.match(text.strip())
     if not m:
         raise ValueError(f"cannot parse UP word {text!r}; expected u(v)^w")
-    return up_normalize(alphabet, m.group(1), m.group(2))
+    return m.group(1), m.group(2)
+
+
+def parse_up(alphabet: Alphabet, text: str) -> UPWord:
+    """Parse ``u(v)^w`` notation (empty prefix allowed) and normalize."""
+    return up_normalize(alphabet, *split_up(text))
 
 
 def up_infixes(x: UPWord, n: int) -> set[str]:

@@ -11,8 +11,18 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from omegabaire import DMA, Alphabet, OpenSet, UPWord, up_normalize
+from omegabaire import (
+    DMA,
+    Alphabet,
+    CounterLanguageSpec,
+    InvariantError,
+    OpenSet,
+    Interval,
+    UPWord,
+    up_normalize,
+)
 from omegabaire.automata import nontrivial_sccs
+from omegabaire.measure import check_weights
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -176,6 +186,66 @@ def gauss_jordan_oracle(matrix: list[list[Fraction]], rhs: list[Fraction]
                 f = A[r][col]
                 A[r] = [v - f * w for v, w in zip(A[r], A[col])]
     return [A[i][m] for i in range(m)]
+
+
+def survival_sequence_oracle(spec: CounterLanguageSpec, n: int,
+                             weights: dict[str, Fraction] | None = None
+                             ) -> list[Fraction]:
+    """P(counter stays positive for 0..n steps), exact; decreases to the
+    measure of the omega-language F2.
+
+    The library's ``survival_sequence`` before integer counts replaced it:
+    one ``Fraction`` per counter value and step.
+    """
+    if n < 0:
+        raise ValueError("step count must be >= 0")
+    wvec = check_weights(spec.alphabet, weights)
+    wt = wvec[spec.alphabet.index(spec.terminal)]
+    wb = wvec[spec.alphabet.index(spec.branching)]
+    dist = {1: Fraction(1)}
+    out = [Fraction(1)]
+    for _ in range(n):
+        new: dict[int, Fraction] = {}
+        for c, p in dist.items():
+            if c > 1:
+                new[c - 1] = new.get(c - 1, Fraction(0)) + p * wt
+            up = c + spec.arity - 1
+            new[up] = new.get(up, Fraction(0)) + p * wb
+        dist = new
+        out.append(sum(dist.values(), Fraction(0)))
+    return out
+
+
+def _ball_poly(k: int, t: Fraction) -> Fraction:
+    return t * t * t - k * t + 1
+
+
+def root_bisection_oracle(k: int, precision: int = 64) -> Interval:
+    """Bracket of width <= 2^-precision around the least positive root of
+    t^3 - k t + 1  (the total ball measure of V . X^omega over |X| = k).
+
+    The library's ``min_positive_root`` before dyadic integer bisection
+    replaced it: bisection with ``Fraction`` endpoints.
+    """
+    if k < 2:
+        raise ValueError("alphabet size must be at least 2")
+    if precision < 1:
+        raise ValueError("precision must be positive")
+    lo = Fraction(0)
+    hi = Fraction(3, 4) if k == 2 else Fraction(1)
+    if not _ball_poly(k, lo) > 0 > _ball_poly(k, hi):
+        raise InvariantError("the ball polynomial must change sign on the bracket")
+    eps = Fraction(1, 2**precision)
+    while hi - lo > eps:
+        mid = (lo + hi) / 2
+        v = _ball_poly(k, mid)
+        if v == 0:
+            raise InvariantError("the root is irrational, a rational midpoint cannot hit it")
+        if v > 0:
+            lo = mid
+        else:
+            hi = mid
+    return Interval(lo, hi)
 
 
 def up_equal_oracle(x: UPWord, y: UPWord, slack: int = 4) -> bool:

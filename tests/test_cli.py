@@ -1,4 +1,9 @@
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,12 +20,13 @@ from omegabaire import (
     parse_oaf,
     serialize_oaf,
 )
-from omegabaire import automata
+from omegabaire import automata, cli
 from omegabaire.cli import main
 from omegabaire.onecounter import F1_ALPHABET
 
 from helpers import (
     AB,
+    dma_a_ball_or_bw,
     dma_ball_a,
     dma_inf_a,
     dma_singleton,
@@ -185,6 +191,19 @@ def test_abp_finite_up(oaf_dir, capsys, tmp_path):
     assert up_membership(fprime, parse_up(AB, "(ab)^w"))
 
 
+def test_abp_finite_up_infers_symbol_w(capsys, tmp_path):
+    # the 'w' of a symbol is told apart from the 'w' of the ')^w' suffix
+    inferred, given = tmp_path / "inferred.oaf", tmp_path / "given.oaf"
+    code, out, err = run(capsys, "abp", "finite-up", "a(wa)^w", "--out-fprime", str(inferred))
+    assert (code, out, err) == (0, "ok\n", "")
+    code, out, _ = run(capsys, "abp", "finite-up", "a(wa)^w", "--out-fprime", str(given),
+                       "--alphabet", "aw")
+    assert (code, out) == (0, "ok\n")
+    assert inferred.read_bytes() == given.read_bytes()
+    code, _, err = run(capsys, "abp", "finite-up", "a(wa)", "--out-fprime", str(inferred))
+    assert code == 2 and "cannot parse UP word" in err
+
+
 def test_v3_member_prefix(capsys):
     code, out, _ = run(capsys, "v3", "member", "baaa")
     assert (code, out) == (0, "true\n")
@@ -311,3 +330,111 @@ def test_output_deterministic(oaf_dir, capsys):
     code1, out1, _ = run(capsys, "closure", oaf_dir["inf_a"])
     code2, out2, _ = run(capsys, "closure", oaf_dir["inf_a"])
     assert code1 == code2 == 0 and out1 == out2
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_parser_built_once_and_reused(oaf_dir, capsys):
+    calls = [
+        ("measure", oaf_dir["ball_a"]),
+        ("v3", "root", "-k", "3", "--precision", "20"),
+        ("no-such-command",),
+        ("meager", oaf_dir["singleton"], oaf_dir["full"]),
+        ("--help",),
+        ("v3", "root", "-k"),
+        ("abp", "finite-up", "--help"),
+        ("v3", "survival", "-n", "7", "--measure", "a=1/3 b=2/3"),
+        ("closure", oaf_dir["inf_a"]),
+    ]
+    cli._build_parser.cache_clear()
+    first = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in first] == [0, 0, 2, 0, 0, 2, 0, 0, 0]
+    assert "usage: omegabaire" in first[2][2] and "usage: omegabaire" in first[4][1]
+    again = [run(capsys, *argv) for argv in calls + calls]
+    assert again == first + first
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3 * len(calls) - 1)
+    # a parser built afresh gives the same bytes
+    cli._build_parser.cache_clear()
+    assert [run(capsys, *argv) for argv in calls] == first
+
+
+def test_import_builds_no_parser():
+    code = ("import omegabaire.cli as c; "
+            "print(c._build_parser.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout == "0\n"
+
+
+def test_cached_parser_calls_current_functions(oaf_dir, capsys, monkeypatch):
+    assert run(capsys, "meager", oaf_dir["full"]) == (0, "false\n", "")
+    monkeypatch.setattr(cli, "is_meager", lambda a: True)
+    assert run(capsys, "meager", oaf_dir["full"]) == (0, "true\n", "")
+
+    def irrational(args):
+        print("replaced")
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_v3_irrational", irrational)
+    assert run(capsys, "v3", "irrational", "-k", "3") == (0, "replaced\n", "")
+    monkeypatch.undo()
+    assert run(capsys, "meager", oaf_dir["full"]) == (0, "false\n", "")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: mutated OAF input exits 0, 2 or 3 and never with a traceback
+
+
+_FUZZ_CHARS = "0123456789 abcw{}:#/=-\n"
+_FUZZ_TOKENS = ["-1", "0", "1", "3", "17", "1/2", "x", "{}", "{0 0}", "dma", "open",
+                "accept:", "trans:", "final:", "measure:", "uniform", "a=1/2 b=1/2"]
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    op = rng.randrange(7)
+    if not text:
+        return rng.choice(_FUZZ_TOKENS)
+    i = rng.randrange(len(text))
+    if op == 0:
+        return text[:i] + text[i + 1:]
+    if op == 1:
+        return text[:i] + rng.choice(_FUZZ_CHARS) + text[i:]
+    if op == 2:
+        return text[:i]
+    lines = text.split("\n")
+    j, k = rng.randrange(len(lines)), rng.randrange(len(lines))
+    if op == 3:
+        del lines[j]
+    elif op == 4:
+        lines.insert(k, lines[j])
+    elif op == 5:
+        lines[j], lines[k] = lines[k], lines[j]
+    else:
+        words = lines[j].split(" ")
+        words[rng.randrange(len(words))] = rng.choice(_FUZZ_TOKENS)
+        lines[j] = " ".join(words)
+    return "\n".join(lines)
+
+
+def test_cli_fuzz_mutated_oaf(capsys, tmp_path):
+    base = serialize_oaf(from_dma(dma_a_ball_or_bw())) + "measure: a=1/3 b=2/3\n"
+    commands = [["measure"], ["meager"], ["empty"], ["closure"], ["interior"],
+                ["boolean", "complement"]]
+    rng = random.Random(2024)
+    path = tmp_path / "mutant.oaf"
+    seen = set()
+    for _ in range(250):
+        text = base
+        for _ in range(rng.randint(1, 3)):
+            text = _mutate(rng, text)
+        path.write_text(text)
+        for cmd in commands:
+            code, _, err = run(capsys, *cmd, str(path))
+            assert code in (0, 2, 3), (cmd, text, err)
+            assert "Traceback" not in err, (cmd, text, err)
+            seen.add(code)
+    assert {0, 2} <= seen

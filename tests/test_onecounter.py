@@ -26,7 +26,7 @@ from omegabaire import (
 )
 from omegabaire.onecounter import F1_ALPHABET, IN_V, PROPER_PREFIX, DEAD, member_length_counts
 
-from helpers import AB, random_open
+from helpers import AB, random_open, root_bisection_oracle, survival_sequence_oracle
 
 SPEC = default_counter_spec()
 
@@ -163,6 +163,32 @@ def test_root_interval_brackets_sign_change():
         assert lo_val > 0 > hi_val or lo_val < 0 < hi_val
 
 
+def test_root_matches_fraction_bisection():
+    # the oracle costs O(precision) Fraction steps per call, so above 32
+    # bits it is sampled; the library is checked at every precision
+    for k in range(2, 13):
+        prev = None
+        for precision in range(1, 301):
+            iv = min_positive_root(k, precision)
+            assert iv.width() <= Fraction(1, 2**precision)
+            if prev is not None:
+                assert prev.lo <= iv.lo and iv.hi <= prev.hi
+            prev = iv
+            if precision <= 32 or precision % 61 == 0 or precision in (256, 300):
+                assert iv == root_bisection_oracle(k, precision), (k, precision)
+
+
+def test_root_contains_sympy_root():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for k in (2, 3, 4, 7, 12):
+        iv = min_positive_root(k, 256)
+        roots = [r for r in sympy.real_roots(sympy.Poly(t**3 - k * t + 1, t)) if r > 0]
+        least = min(roots)
+        assert sympy.Rational(iv.lo.numerator, iv.lo.denominator) < least
+        assert least < sympy.Rational(iv.hi.numerator, iv.hi.denominator)
+
+
 def test_root_rejects_bad_k():
     with pytest.raises(ValueError):
         min_positive_root(1, 16)
@@ -233,6 +259,21 @@ def test_survival_plus_death_is_one():
             if 0 in trace[1:-1] or (trace[-1] == 0):
                 dead_mass += Fraction(1, 2**n)
         assert survival_probability(SPEC, n) + dead_mass == 1
+
+
+@pytest.mark.parametrize("arity", [2, 3, 4])
+def test_survival_matches_fraction_recursion(arity):
+    ab = CounterLanguageSpec(Alphabet("ab"), arity=arity)
+    abc = CounterLanguageSpec(Alphabet("abc"), arity=arity)
+    cases = [
+        (ab, None),
+        (ab, {"a": Fraction(1, 6), "b": Fraction(5, 6)}),
+        # terminal and branching weights with unequal denominators
+        (abc, {"a": Fraction(1, 6), "b": Fraction(1, 2), "c": Fraction(1, 3)}),
+        (abc, {"a": Fraction(2, 5), "b": Fraction(1, 3), "c": Fraction(4, 15)}),
+    ]
+    for spec, w in cases:
+        assert survival_sequence(spec, 120, w) == survival_sequence_oracle(spec, 120, w)
 
 
 def test_survival_weighted():
