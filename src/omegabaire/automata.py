@@ -17,9 +17,12 @@ One iterative Tarjan, :func:`strongly_connected_components`, serves every
 graph question: emptiness, closure, interior, density, family
 materialization, and the bottom components behind measure and category.
 It runs directly on the subgraph induced on a region of states.  Each
-:class:`DMA` computes its nontrivial SCCs and its live states at most once
-and caches them; a complement shares its operand's SCCs, since the
-transitions are the same.
+:class:`DMA` computes its nontrivial SCCs, the accepting set of each SCC
+under its own condition and its live states at most once and caches them; a
+complement shares its operand's SCCs, since the transitions are the same,
+but searches them afresh.  A witness's period is built from two
+breadth-first trees inside its accepting set, in time linear in the set and
+the period.
 
 State ids are always normalized to breadth-first shortlex order from the
 initial state (which therefore is state 0), and unreachable states are
@@ -82,37 +85,40 @@ def strongly_connected_components(rows: Sequence[Sequence[int]],
     which is reverse topological: each one follows every component it
     reaches.
     """
-    # A state whose component has been emitted gets index ``done``, above
-    # every low-link, so edges into finished components never lower one.
+    # Unvisited states have index -1.  A state whose component has been
+    # emitted gets index ``done``, above every low-link, so edges into
+    # finished components never lower one.
     done = len(rows)
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
+    index = [-1] * done
+    low = [-1] * done
+    count = 0
     stack: list[int] = []
     comps: list[list[int]] = []
     for root in region:
-        if root in index:
+        if index[root] >= 0:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, iter(rows[root]))]
         while work:
-            q, ei = work[-1]
-            if ei == 0:
-                index[q] = low[q] = len(index)
-                stack.append(q)
-            row = rows[q]
-            while ei < len(row):
-                t = row[ei]
-                ei += 1
+            q, edges = work[-1]
+            for t in edges:
                 if t not in region:
                     continue
-                if t not in index:
-                    work[-1] = (q, ei)
-                    work.append((t, 0))
+                it = index[t]
+                if it < 0:
+                    index[t] = low[t] = count
+                    count += 1
+                    stack.append(t)
+                    work.append((t, iter(rows[t])))
                     break
-                if index[t] < low[q]:
-                    low[q] = index[t]
+                if it < low[q]:
+                    low[q] = it
             else:
                 work.pop()
-                if low[q] == index[q]:
+                lq = low[q]
+                if lq == index[q]:
                     comp = []
                     while True:
                         w = stack.pop()
@@ -122,8 +128,8 @@ def strongly_connected_components(rows: Sequence[Sequence[int]],
                             break
                     comp.sort()
                     comps.append(comp)
-                elif low[q] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[q]
+                elif lq < low[work[-1][0]]:
+                    low[work[-1][0]] = lq
     return comps
 
 
@@ -309,12 +315,12 @@ class DMA:
     the program; the plain constructor trusts the rows that the library
     builds itself.  Instances are treated as immutable, so each one caches
     what it learns about its graph: the explicit family, the nontrivial SCCs
-    (which depend only on the transitions) and the live states (which depend
-    on the condition too).
+    (which depend only on the transitions), the accepting set found in each
+    of them so far and the live states (which depend on the condition too).
     """
 
     __slots__ = ("alphabet", "n_states", "initial", "transitions", "cond",
-                 "_family", "_sccs", "_live")
+                 "_family", "_sccs", "_accepting", "_live")
 
     def __init__(self, alphabet: Alphabet, n_states: int, initial: int,
                  transitions: tuple[tuple[int, ...], ...], cond: Cond,
@@ -327,6 +333,10 @@ class DMA:
         self._family = family
         # Kept as sorted tuples, which take less memory than frozensets.
         self._sccs: tuple[tuple[int, ...], ...] | None = None
+        # The search result for ``cond`` in each SCC, in nontrivial_sccs
+        # order and as sorted tuples too, filled only as far as some query
+        # has needed.
+        self._accepting: list[tuple[int, ...] | None] | None = None
         self._live: tuple[int, ...] | None = None
 
     @classmethod
@@ -601,19 +611,32 @@ def _refine(rows, region: frozenset[int], exact: dict[Atom, frozenset[int]],
 
 def _accepting_sets(a: DMA, cond: Cond) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
     """``(C, D)`` for each SCC ``C`` of ``a``, least state first, holding a
-    cycle-closed ``D`` that satisfies ``cond``."""
-    for C in nontrivial_sccs(a):
-        D = _search_scc(a.transitions, cond, C)
+    cycle-closed ``D`` that satisfies ``cond``.
+
+    For ``a``'s own condition each SCC is searched at most once: the results
+    are cached on ``a`` as far as the iteration gets.
+    """
+    if cond is not a.cond:
+        found = []
+    elif a._accepting is None:
+        found = a._accepting = []
+    else:
+        found = a._accepting
+    for i, C in enumerate(nontrivial_sccs(a)):
+        if i == len(found):
+            D = _search_scc(a.transitions, cond, C)
+            # an SCC accepted whole shares the cached tuple of its states
+            found.append(None if D is None else a._sccs[i] if D == C else tuple(sorted(D)))
+        D = found[i]
         if D is not None:
-            yield C, D
+            yield C, frozenset(D)
 
 
 def _find_accepting_set(a: DMA) -> frozenset[int] | None:
     return next((D for _, D in _accepting_sets(a, a.cond)), None)
 
 
-def _bfs_word(a: DMA, src: int, targets: frozenset[int],
-              allowed: frozenset[int] | None = None) -> tuple[str, int]:
+def _bfs_word(a: DMA, src: int, targets: frozenset[int]) -> tuple[str, int]:
     """Shortlex-least word from ``src`` into ``targets`` (possibly empty)."""
     if src in targets:
         return "", src
@@ -625,8 +648,6 @@ def _bfs_word(a: DMA, src: int, targets: frozenset[int],
             w, _ = seen[q]
             for si, sym in enumerate(a.alphabet.symbols):
                 t = a.transitions[q][si]
-                if allowed is not None and t not in allowed:
-                    continue
                 if t in seen:
                     continue
                 seen[t] = (w + sym, t)
@@ -638,22 +659,63 @@ def _bfs_word(a: DMA, src: int, targets: frozenset[int],
 
 
 def _lasso_witness(a: DMA, D: frozenset[int]) -> UPWord:
-    """Ultimately periodic word whose run visits exactly ``D`` forever."""
+    """Ultimately periodic word whose run visits exactly ``D`` forever.
+
+    The period is built from two breadth-first trees inside the strongly
+    connected ``D``: an out-tree from the entry state and an in-tree to it.
+    For each leaf of the out-tree, in increasing order, it follows the tree
+    path from the entry to the leaf and the in-tree path back.  Every state
+    of ``D`` lies on the way to some leaf, so the period covers ``D``
+    exactly, in O(|D| |alphabet| + |period|) steps.
+    """
     u, entry = _bfs_word(a, a.initial, D)
-    v = ""
-    cur = entry
-    for t in sorted(D):
-        if t != cur:
-            w, cur = _bfs_word(a, cur, frozenset({t}), allowed=D)
-            v += w
-    if cur != entry:
-        w, cur = _bfs_word(a, cur, frozenset({entry}), allowed=D)
-        v += w
-    if not v:
-        for si, sym in enumerate(a.alphabet.symbols):
-            if a.transitions[entry][si] == entry:
-                v = sym
-                break
+    symbols = a.alphabet.symbols
+    rows = a.transitions
+    inside = sorted(D)
+    # out-tree: the parent and the symbol read to reach each state
+    parent: dict[int, tuple[int, str]] = {entry: (entry, "")}
+    frontier = [entry]
+    while frontier:
+        nxt = []
+        for q in frontier:
+            for sym, t in zip(symbols, rows[q]):
+                if t in D and t not in parent:
+                    parent[t] = (q, sym)
+                    nxt.append(t)
+        frontier = nxt
+    # in-tree: the symbol and the successor one step closer to the entry
+    preds: dict[int, list[tuple[int, str]]] = {q: [] for q in inside}
+    for q in inside:
+        for sym, t in zip(symbols, rows[q]):
+            if t in D:
+                preds[t].append((q, sym))
+    home: dict[int, tuple[str, int]] = {entry: ("", entry)}
+    frontier = [entry]
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for q, sym in preds[t]:
+                if q not in home:
+                    home[q] = (sym, t)
+                    nxt.append(q)
+        frontier = nxt
+    inner = {q for q, _ in parent.values()}
+    period: list[str] = []
+    for leaf in inside:
+        if leaf in inner:
+            continue
+        out = []
+        q = leaf
+        while q != entry:
+            q, sym = parent[q]
+            out.append(sym)
+        period.extend(reversed(out))
+        q = leaf
+        while q != entry:
+            sym, q = home[q]
+            period.append(sym)
+    # a one-state D has no leaf: its period is the self-loop at the entry
+    v = "".join(period) or next(sym for sym, t in zip(symbols, rows[entry]) if t == entry)
     witness = up_normalize(a.alphabet, u, v)
     if not up_membership(a, witness):
         raise InvariantError("constructed witness must be accepted")

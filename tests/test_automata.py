@@ -298,29 +298,49 @@ def _query_results(a):
 
 
 def test_graph_of_each_automaton_analysed_once(monkeypatch):
-    calls = []
-    positive_states = automata._positive_states
+    calls, searches = [], []
+    positive_states, search_scc = automata._positive_states, automata._search_scc
 
     def counting(a, cond):
         calls.append((a, cond))
         return positive_states(a, cond)
 
+    def counting_search(rows, cond, C):
+        searches.append(cond)
+        return search_scc(rows, cond, C)
+
+    def own_searches(d):
+        return sum(1 for cond in searches if cond is d.cond)
+
     monkeypatch.setattr(automata, "_positive_states", counting)
+    monkeypatch.setattr(automata, "_search_scc", counting_search)
     a = _difference_chain()
+    n_sccs = len(automata.nontrivial_sccs(a))
+    assert n_sccs > 1
+    # the least SCC of ``a`` accepts, so the witness needs one search
+    x = accepting_witness(a)
+    assert up_membership(a, x) and own_searches(a) == 1
+    assert not is_empty(a) and own_searches(a) == 1
     first = _query_results(a)
     assert not is_dense(a)
     closure(a)
     assert not is_nowhere_dense(a)
     assert sum(1 for b, cond in calls if b is a and cond is a.cond) == 1
-    assert _query_results(a) == first
+    assert own_searches(a) == n_sccs
+    assert _query_results(a) == first and own_searches(a) == n_sccs
 
-    # the complement shares the transitions, so the SCCs, but not the live set
+    # the complement shares the transitions, so the SCCs, but not the live
+    # set or the accepting sets: its least SCC rejects and its second accepts
     c, fresh = complement(a), complement(_difference_chain())
+    y = accepting_witness(c)
+    assert own_searches(c) == 2
+    assert up_membership(c, y) and not up_membership(a, y) and not is_empty(c)
     assert not equivalent(closure(a), closure(fresh))
     last = _query_results(fresh)
     cl, fresh_cl = closure(c), closure(fresh)
     assert cl.transitions == fresh_cl.transitions and equivalent(cl, fresh_cl)
     assert _query_results(c) == last
+    assert own_searches(c) == n_sccs
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ from omegabaire import (  # noqa: E402
     is_meager,
     is_meager_via_measure,
     union,
+    up_membership,
 )
-from omegabaire.automata import _realizable_sets  # noqa: E402
+from omegabaire.automata import _lasso_witness, _realizable_sets, nontrivial_sccs  # noqa: E402
+from omegabaire.conditions import family_atom  # noqa: E402
 
 from helpers import AB, ABC, realizable_sets_oracle  # noqa: E402
 
@@ -65,6 +67,39 @@ def test_graph_meagerness_matches_measure(a):
     # the complement reuses the SCCs cached on ``a`` by the first call
     for d in (a, complement(a)):
         assert is_meager(d) == is_meager_via_measure(d)
+
+
+def _periodic_states(a, x) -> tuple[int, frozenset[int]]:
+    """The state at which the run of ``x`` starts repeating its period, and
+    the states it visits from there on, by stepping symbol by symbol."""
+    q = a.run_word(a.initial, x.prefix)
+    starts = []
+    while q not in starts:
+        starts.append(q)
+        q = a.run_word(q, x.period)
+    visited = set()
+    p = q
+    for _ in range(len(starts) - starts.index(q)):
+        for sym in x.period:
+            p = a.step(p, sym)
+            visited.add(p)
+    return q, frozenset(visited)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(block_dmas())
+def test_lasso_witness_visits_exactly_its_set(a):
+    # each SCC is accepted by exactly one of ``a`` and its complement, which
+    # builds the witness; ``only`` is ``a`` with the family {C}
+    c = complement(a)
+    for C in nontrivial_sccs(a):
+        d, other = (a, c) if a.accepts_set(C) else (c, a)
+        x = _lasso_witness(d, C)
+        start, visited = _periodic_states(a, x)
+        assert start in C and visited == C
+        only = DMA(a.alphabet, a.n_states, a.initial, a.transitions,
+                   family_atom(a.n_states, (C,)), (C,))
+        assert up_membership(only, x) and not up_membership(other, x)
 
 
 @st.composite
