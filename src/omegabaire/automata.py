@@ -785,7 +785,7 @@ def _positive_states(a: DMA, cond: Cond) -> set[int]:
     return out
 
 
-def _states_reaching(a: DMA, targets: set[int]) -> set[int]:
+def _states_reaching(a: Dfa | DMA, targets: set[int]) -> set[int]:
     preds: list[set[int]] = [set() for _ in range(a.n_states)]
     for q in range(a.n_states):
         for t in a.transitions[q]:

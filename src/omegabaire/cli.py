@@ -41,7 +41,7 @@ from .category import (
     is_meager,
     is_nowhere_dense,
 )
-from .measure import format_decimal, format_rational, mu, parse_rational, uniform_weights
+from .measure import format_decimal, format_rational, mu, parse_measure_spec
 from .oaf import OafDocument, OafError, from_dma, from_open, parse_oaf, serialize_oaf
 from .onecounter import (
     F1_ALPHABET,
@@ -96,21 +96,9 @@ def _write_outputs(docs: dict[str, OafDocument]) -> None:
             fh.write(text)
 
 
-def _parse_measure_spec(text: str, alphabet: Alphabet) -> dict[str, Fraction]:
-    if text == "uniform":
-        return uniform_weights(alphabet)
-    pairs: dict[str, Fraction] = {}
-    for tok in text.replace(",", " ").split():
-        sym, sep, val = tok.partition("=")
-        if not sep:
-            raise ValueError(f"bad measure entry {tok!r}; expected symbol=p/q")
-        pairs[sym] = parse_rational(val)
-    return pairs
-
-
 def _weights_for(doc: OafDocument, args) -> dict[str, Fraction] | None:
     if getattr(args, "measure", None) is not None:
-        return _parse_measure_spec(args.measure, doc.alphabet)
+        return parse_measure_spec(args.measure, doc.alphabet)
     return doc.weight_map()
 
 
@@ -258,7 +246,7 @@ def _cmd_v3_survival(args) -> int:
     spec = default_counter_spec()
     weights = None
     if args.measure is not None:
-        weights = _parse_measure_spec(args.measure, spec.alphabet)
+        weights = parse_measure_spec(args.measure, spec.alphabet)
     print(format_rational(survival_probability(spec, args.n, weights)))
     return 0
 
@@ -270,7 +258,7 @@ def _cmd_v3_f2_witness(args) -> int:
 
 def _cmd_v3_f1_refute(args) -> int:
     e = _read_open(args.file)
-    report = f1_refute_open(e, args.precision, args.max_witness_len)
+    report = f1_refute_open(e, args.precision)
     print(report.render(args.digits))
     return 0
 
@@ -309,10 +297,6 @@ def _build_parser() -> argparse.ArgumentParser:
     precision = argparse.ArgumentParser(add_help=False)
     precision.add_argument("--precision", type=int, default=64, metavar="BITS",
                            help="width bound 2^-BITS for root intervals")
-    witness = argparse.ArgumentParser(add_help=False)
-    witness.add_argument("--max-witness-len", "--max-len", type=int, default=8,
-                         metavar="N", dest="max_witness_len",
-                         help="length cap for searched witness words")
 
     p = argparse.ArgumentParser(
         prog="omegabaire",
@@ -338,8 +322,11 @@ def _build_parser() -> argparse.ArgumentParser:
     files_cmd("disjunctive", "_cmd_decision", [],
               "does the language contain a disjunctive word?",
               decide="contains_disjunctive")
-    files_cmd("avoided-infix", "_cmd_avoided_infix", [witness],
-              "shortlex-least infix avoided by the whole (meager) language")
+    sp = files_cmd("avoided-infix", "_cmd_avoided_infix", [],
+                   "shortlex-least infix avoided by the whole (meager) language")
+    sp.add_argument("--max-witness-len", "--max-len", type=int, default=8,
+                    metavar="N", dest="max_witness_len",
+                    help="length cap for searched infixes")
     files_cmd("empty", "_cmd_empty", [],
               "emptiness, with an ultimately periodic witness if non-empty")
 
@@ -412,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="extension killing a surviving prefix")
     sp.add_argument("word", metavar="WORD")
     sp.set_defaults(handler="_cmd_v3_f2_witness")
-    sp = vsub.add_parser("f1-refute", parents=[precision, witness, digits],
+    sp = vsub.add_parser("f1-refute", parents=[precision, digits],
                          help="refute an open approximation of F1")
     sp.add_argument("file", metavar="E_FILE")
     sp.set_defaults(handler="_cmd_v3_f1_refute")

@@ -72,6 +72,24 @@ def check_weights(alphabet: Alphabet, weights: dict[str, Fraction] | None
     return vec
 
 
+def parse_measure_spec(text: str, alphabet: Alphabet) -> dict[str, Fraction]:
+    """Symbol weights from ``uniform`` or from ``symbol=p/q`` entries
+    separated by whitespace or commas, checked by ``check_weights``; each
+    symbol of the alphabet appears exactly once."""
+    if text == "uniform":
+        return uniform_weights(alphabet)
+    pairs: dict[str, Fraction] = {}
+    for tok in text.replace(",", " ").split():
+        sym, sep, val = tok.partition("=")
+        if not sep or sym not in alphabet:
+            raise ValueError(f"bad measure entry {tok!r}; expected symbol=p/q")
+        if sym in pairs:
+            raise ValueError(f"duplicate measure entry for {sym!r}")
+        pairs[sym] = parse_rational(val)
+    check_weights(alphabet, pairs)
+    return pairs
+
+
 def solve_linear_system(matrix: Sequence[Sequence[int | Fraction]],
                         rhs: Sequence[int | Fraction]) -> list[Fraction]:
     """Exact solution of ``matrix . x = rhs`` by fraction-free elimination.

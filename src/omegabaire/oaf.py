@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .automata import DMA, OpenSet
-from .measure import check_weights, format_rational, parse_rational, uniform_weights
+from .measure import check_weights, format_rational, parse_measure_spec, uniform_weights
 from .words import Alphabet
 
 _KINDS = ("dma", "open")
@@ -275,19 +275,8 @@ def parse_oaf(text: str, warnings: list[str] | None = None) -> OafDocument:
         if rest == "uniform":
             weights = "uniform"
         else:
-            pairs = {}
-            for tok in rest.split():
-                sym, sep, val = tok.partition("=")
-                if not sep or sym not in alphabet:
-                    raise OafError(f"bad measure entry {tok!r}", lineno)
-                if sym in pairs:
-                    raise OafError(f"duplicate measure entry for {sym!r}", lineno)
-                try:
-                    pairs[sym] = parse_rational(val)
-                except ValueError as exc:
-                    raise OafError(str(exc), lineno) from None
             try:
-                check_weights(alphabet, pairs)
+                pairs = parse_measure_spec(rest, alphabet)
             except ValueError as exc:
                 raise OafError(str(exc), lineno) from None
             weights = tuple((s, pairs[s]) for s in alphabet.symbols)

@@ -13,8 +13,8 @@ F2 = {a,b}^omega minus V . {a,b}^omega  (closed, not regular).
 Membership of ultimately periodic words in either is decided exactly by
 analysing the counter's drift over one period.  ``f1_refute_open`` shows,
 for any regular open E, that F1 and E differ by more than any meager set:
-their measures are separated by an exact rational-vs-algebraic gap, and in
-concrete cases a whole ball inside the difference is exhibited.
+their measures are separated by an exact rational-vs-algebraic gap, and a
+whole ball inside the difference is always exhibited.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ from fractions import Fraction
 from math import lcm
 
 from .automata import (
+    DMA,
     InvariantError,
+    _states_reaching,
     ball_open,
     closure,
     intersection,
@@ -123,47 +125,55 @@ def member_length_counts(spec: CounterLanguageSpec, max_len: int) -> list[int]:
 # UP-word membership in F1 and F2 by drift analysis
 
 
-def f2_member_up(x: UPWord, spec: CounterLanguageSpec | None = None) -> bool:
-    """True iff no prefix of ``x`` is a member of V.
+def _counter_stop(spec: CounterLanguageSpec, x: UPWord) -> tuple[int, int] | None:
+    """The first position i of ``x`` where the counter, started at 1, reads
+    0 (so x[:i] is a member of V) or x[i] is neither counter letter, with
+    the counter value there; ``None`` when neither ever happens.
 
-    The counter is scanned over the prefix and then period by period; a full
-    period without a zero and with non-negative drift can never produce a
-    zero later (each later lap repeats the same excursion shifted upward),
-    while negative drift forces a zero within a bounded number of laps.
+    The counter is scanned over the prefix and then lap by lap over the
+    period.  A lap without a stop that ends at or above where it began can
+    never stop later (each later lap repeats the same excursion shifted
+    upward), while a lap that ends lower loses at least 1, so a zero comes
+    within a bounded number of laps.
     """
-    spec = spec or default_counter_spec()
-    if x.alphabet != spec.alphabet:
-        raise ValueError("UP word must be over the counter alphabet")
     step = {spec.terminal: -1, spec.branching: spec.arity - 1}
-    c = 1
+    c, i = 1, 0
     for s in x.prefix:
+        if c == 0 or s not in step:
+            return i, c
         c += step[s]
-        if c == 0:
-            return False
-    drift = sum(step[s] for s in x.period)
+        i += 1
     first = c
     laps = 0
     while True:
+        lap_start = c
         for s in x.period:
+            if c == 0 or s not in step:
+                return i, c
             c += step[s]
-            if c == 0:
-                return False
-        if drift >= 0:
-            return True
+            i += 1
+        if c >= lap_start:
+            return None
         laps += 1
         if laps > first + 2:
             raise InvariantError("negative drift must reach zero quickly")
+
+
+def f2_member_up(x: UPWord, spec: CounterLanguageSpec | None = None) -> bool:
+    """True iff no prefix of ``x`` is a member of V."""
+    spec = spec or default_counter_spec()
+    if x.alphabet != spec.alphabet:
+        raise ValueError("UP word must be over the counter alphabet")
+    return _counter_stop(spec, x) is None
 
 
 def f1_member_up(x: UPWord, spec: CounterLanguageSpec | None = None,
                  marker: str = F1_MARKER) -> bool:
     """True iff ``x`` has a prefix p . marker with p a member of V.
 
-    Scans the symbol stream: when the counter first reaches 0 the very next
-    symbol decides; any other symbol outside V's two letters kills every
-    later candidate (members of V use only those letters); and a marker-free
-    period with positive running counter and non-negative drift can never
-    produce a candidate again.
+    Members of V use only V's two letters and V is prefix-free, so the only
+    candidate p is the prefix before the counter's first stop: ``x`` is in
+    F1 iff that stop is a zero and the marker comes next.
     """
     spec = spec or default_counter_spec()
     if marker in (spec.terminal, spec.branching):
@@ -171,32 +181,8 @@ def f1_member_up(x: UPWord, spec: CounterLanguageSpec | None = None,
     for s in (spec.terminal, spec.branching, marker):
         if s not in x.alphabet:
             raise ValueError(f"UP word alphabet lacks {s!r}")
-    step = {spec.terminal: -1, spec.branching: spec.arity - 1}
-    c = 1
-    for s in x.prefix:
-        if c == 0:
-            return s == marker
-        if s not in step:
-            return False
-        c += step[s]
-    clean = all(s in step for s in x.period)
-    drift = sum(step[s] for s in x.period if s in step)
-    first = c
-    laps = 0
-    while True:
-        for s in x.period:
-            if c == 0:
-                return s == marker
-            if s not in step:
-                return False
-            c += step[s]
-        if clean and drift >= 0:
-            # the whole lap ran with positive counter and no marker; later
-            # laps repeat it shifted upward, so no candidate ever completes
-            return False
-        laps += 1
-        if laps > first + 2:
-            raise InvariantError("negative drift must reach zero quickly")
+    stop = _counter_stop(spec, x)
+    return stop is not None and stop[1] == 0 and x.symbol_at(stop[0]) == marker
 
 
 # ---------------------------------------------------------------------------
@@ -227,31 +213,33 @@ class Interval:
         return f"[{format_rational(self.lo)}, {format_rational(self.hi)}]"
 
 
-def _ball_poly(k: int, t: Fraction) -> Fraction:
-    return t * t * t - k * t + 1
+def _start_bracket(k: int) -> tuple[int, int, int]:
+    """The bracket [lo/2^j, hi/2^j] that isolates the least positive root of
+    t^3 - k t + 1, as ``(lo, hi, j)``: [0, 1] for k >= 3, where the
+    polynomial is strictly decreasing, and [0, 3/4] for k = 2, which cuts
+    off the root at 1 and stays below the turning point sqrt(2/3)."""
+    if k < 2:
+        raise ValueError("alphabet size must be at least 2")
+    return (0, 3, 2) if k == 2 else (0, 1, 0)
 
 
 def min_positive_root(k: int, precision: int = 64) -> Interval:
     """Bracket of width <= 2^-precision around the least positive root of
     t^3 - k t + 1  (the total ball measure of V . X^omega over |X| = k).
 
-    Bisection with exact endpoints.  The bracket starts at (0, 1) where the
-    polynomial is strictly decreasing, so the sign change is unique; for
-    k = 2 the upper end is lowered to 3/4 to cut off the spurious root at 1.
-    The endpoints are kept as integer numerators lo/2^j and hi/2^j, and
-    the sign at m/2^j is that of 8^j p(m/2^j) = m^3 - k m 4^j + 8^j, so
-    the search runs in exact integer arithmetic; the ``Interval`` is built
-    once at the end.
+    Bisection with exact endpoints, from the bracket of ``_start_bracket``
+    where the sign change is unique.  The endpoints are kept as integer
+    numerators lo/2^j and hi/2^j, and the sign at m/2^j is that of
+    8^j p(m/2^j) = m^3 - k m 4^j + 8^j, so the search runs in exact integer
+    arithmetic; the ``Interval`` is built once at the end.
     """
-    if k < 2:
-        raise ValueError("alphabet size must be at least 2")
+    lo, hi, j = _start_bracket(k)
     if precision < 1:
         raise ValueError("precision must be positive")
 
     def cleared(m: int, j: int) -> int:
         return m**3 - (k * m << 2 * j) + (1 << 3 * j)
 
-    lo, hi, j = (0, 3, 2) if k == 2 else (0, 1, 0)  # the bracket [lo/2^j, hi/2^j]
     if not cleared(lo, j) > 0 > cleared(hi, j):
         raise InvariantError("the ball polynomial must change sign on the bracket")
     # hi - lo never changes, so the width (hi - lo)/2^j is above
@@ -274,82 +262,52 @@ def min_positive_root(k: int, precision: int = 64) -> Interval:
 class IrrationalityCertificate:
     """Replayable evidence that the least positive root is irrational.
 
-    For the monic cubic with constant term 1, every rational root would be
-    an integer dividing 1; the recorded candidate evaluations are all
-    nonzero.  For k = 2 the cubic factors off (t - 1) and the certificate
-    instead shows the remaining quadratic has a non-square discriminant.
+    The polynomial changes sign on ``bracket``, so a root lies inside it.
+    A rational root of the monic cubic with constant term 1 would be an
+    integer dividing 1, and each candidate +-1 is recorded with its value:
+    every one is either no root or outside the bracket, so the root inside
+    is irrational.  (For k = 2 the candidate 1 is a root, outside [0, 3/4].)
     """
 
     k: int
-    cubic: tuple[int, int, int, int]
+    bracket: Interval
     candidates: tuple[tuple[Fraction, Fraction], ...]
-    quadratic: tuple[int, int, int] | None = None
-    discriminant: int | None = None
-    nonsquare_bracket: tuple[int, int] | None = None
 
     def _poly_value(self, t: Fraction) -> Fraction:
-        coeffs = self.quadratic if self.quadratic is not None else self.cubic
-        v = Fraction(0)
-        for co in coeffs:
-            v = v * t + co
-        return v
+        return t**3 - self.k * t + 1
 
     def replay(self) -> bool:
-        for cand, recorded in self.candidates:
-            v = self._poly_value(cand)
-            if v != recorded or v == 0:
-                return False
-        if self.quadratic is not None:
-            qa, qb, qc = self.quadratic
-            if self.discriminant != qb * qb - 4 * qa * qc:
-                return False
-            r, s = self.nonsquare_bracket
-            if not (s == r + 1 and r * r < self.discriminant < s * s):
-                return False
-        return True
+        if not self._poly_value(self.bracket.lo) > 0 > self._poly_value(self.bracket.hi):
+            return False
+        if sorted(c for c, _ in self.candidates) != [-1, 1]:
+            return False
+        return all(
+            self._poly_value(c) == v and (v != 0 or c not in self.bracket)
+            for c, v in self.candidates
+        )
 
     def render(self) -> str:
-        k = self.k
-        lines = [f"least positive root of t^3 - {k}*t + 1"]
-        if self.quadratic is None:
-            pairs = ", ".join(
-                f"{format_rational(c)} -> {format_rational(v)}" for c, v in self.candidates
-            )
-            lines.append(f"rational-root candidates: {pairs}")
-            lines.append("all candidate evaluations nonzero: no rational root")
-        else:
-            lines.append("factorization: (t - 1) * (t^2 + t - 1); "
-                         "the bracket (0, 3/4) excludes the root t = 1")
-            pairs = ", ".join(
-                f"{format_rational(c)} -> {format_rational(v)}" for c, v in self.candidates
-            )
-            lines.append(f"quadratic rational-root candidates: {pairs}")
-            r, s = self.nonsquare_bracket
-            lines.append(
-                f"quadratic discriminant: {self.discriminant} "
-                f"(not a square: {r}^2 < {self.discriminant} < {s}^2)"
-            )
-        lines.append("conclusion: the root is irrational")
-        return "\n".join(lines)
+        lo, hi = self.bracket.lo, self.bracket.hi
+        pairs = ", ".join(
+            f"{format_rational(c)} -> {format_rational(v)}" for c, v in self.candidates
+        )
+        return "\n".join([
+            f"least positive root of t^3 - {self.k}*t + 1",
+            f"bracket: {self.bracket}, where p changes sign: "
+            f"{format_rational(self._poly_value(lo))} > 0 > "
+            f"{format_rational(self._poly_value(hi))}",
+            f"rational-root candidates: {pairs}",
+            "no candidate is a root inside the bracket: no rational root there",
+            "conclusion: the root is irrational",
+        ])
 
 
 def irrationality_certificate(k: int) -> IrrationalityCertificate:
-    if k < 2:
-        raise ValueError("alphabet size must be at least 2")
-    cubic = (1, 0, -k, 1)
-    if k == 2:
-        quad = (1, 1, -1)
-        cands = tuple(
-            (Fraction(c), Fraction(c * c + c - 1)) for c in (1, -1)
-        )
-        cert = IrrationalityCertificate(
-            k, cubic, cands, quadratic=quad, discriminant=5, nonsquare_bracket=(2, 3)
-        )
-    else:
-        cands = tuple(
-            (Fraction(c), _ball_poly(k, Fraction(c))) for c in (1, -1)
-        )
-        cert = IrrationalityCertificate(k, cubic, cands)
+    lo, hi, j = _start_bracket(k)
+    cands = tuple((Fraction(c), Fraction(c**3 - k * c + 1)) for c in (1, -1))
+    cert = IrrationalityCertificate(
+        k, Interval(Fraction(lo, 1 << j), Fraction(hi, 1 << j)), cands
+    )
     if not cert.replay():
         raise InvariantError("fresh certificate must replay")
     return cert
@@ -420,16 +378,17 @@ class RefutationReport:
     measure of V . X^omega over two letters embedded in three, whose third
     is mu(F1); ``side`` states which of mu_e, mu(F1) is larger.  Since the
     two measures differ while any meager regular set is null, F1 delta E is
-    non-null, so no meager F' can cover it.  When a witness ball was found
-    within the cap it exhibits the difference outright.
+    non-null, so no meager F' can cover it.  ``witness`` is a finite word
+    whose ball lies in F1 delta E, which shows the difference outright:
+    inside F1 and disjoint from E (``witness_kind`` "ball_in_f1_not_e") or
+    inside E and disjoint from F1 ("ball_in_e_not_f1").
     """
 
     mu_e: Fraction
     root_interval: Interval
     side: str
-    witness: str | None
-    witness_kind: str | None
-    search_cap: int
+    witness: str
+    witness_kind: str
     precision: int
     replay_precision: int
 
@@ -438,42 +397,105 @@ class RefutationReport:
 
     def render(self, digits: int = 10) -> str:
         th = self.threshold()
-        lines = [
+        return "\n".join([
             f"mu_e: {format_rational(self.mu_e)}",
             f"root_interval: {self.root_interval}",
             f"threshold: {th}",
             f"threshold_decimal: ~ {format_decimal(th.midpoint(), digits)}",
             f"side: {self.side}",
-        ]
-        if self.witness is None:
-            lines.append(f"witness_ball: none within cap {self.search_cap}")
-        else:
-            lines.append(f"witness_ball: {self.witness}")
-            lines.append(f"witness_kind: {self.witness_kind}")
-        lines.append(f"replay_precision: {self.replay_precision}")
-        lines.append("replay: ok")
-        return "\n".join(lines)
+            f"witness_ball: {self.witness}",
+            f"witness_kind: {self.witness_kind}",
+            f"replay_precision: {self.replay_precision}",
+            "replay: ok",
+        ])
 
 
-def f1_refute_open(e: OpenSet, precision: int = 64,
-                   search_cap: int = 8) -> RefutationReport:
+# absorbing F1 statuses of a prefix: every extension lies in F1 / none does
+_IN_F1 = "in"
+_OUT_F1 = "out"
+
+
+def _f1_status(spec: CounterLanguageSpec, status: int | str, s: str) -> int | str:
+    """The F1 status of a prefix extended by ``s``.  A status is the
+    counter value c >= 0 while undecided, or absorbing: ``in`` once a member
+    of V is followed by the marker, ``out`` once another symbol follows a
+    member or a non-letter is read at a positive counter."""
+    if status == 0:
+        return _IN_F1 if s == F1_MARKER else _OUT_F1
+    if not isinstance(status, int):
+        return status
+    if s == spec.terminal:
+        return status - 1
+    if s == spec.branching:
+        return status + spec.arity - 1
+    return _OUT_F1
+
+
+def _f1_difference_ball(e: OpenSet, spec: CounterLanguageSpec) -> tuple[str, str]:
+    """A word whose ball lies in F1 delta E, and its kind.
+
+    Breadth-first search, in symbol order, over pairs (state of E, F1
+    status of the prefix), so the word is the shortlex-least one reaching
+    its pair.  It stops at the first pair (q, in) with q unable to reach a
+    final state of E, or (q, out) with q final.  Such a pair is
+    always reachable: without one, every ball of E meets F1 and every ball
+    of F1 meets E, so cl(E) = cl(F1), whose part over {a, b} is F2, which
+    is not regular.  Each length has finitely many pairs, so the search
+    ends.
+    """
+    rows = e.transitions
+    live = _states_reaching(e, set(e.finals))
+    start = (e.initial, 1)
+    words = {start: ""}
+    order = [start]
+    for q, status in order:
+        w = words[q, status]
+        if status == _IN_F1 and q not in live:
+            return w, "ball_in_f1_not_e"
+        if status == _OUT_F1 and q in e.finals:
+            return w, "ball_in_e_not_f1"
+        for s, t in zip(e.alphabet.symbols, rows[q]):
+            pair = (t, _f1_status(spec, status, s))
+            if pair not in words:
+                words[pair] = w + s
+                order.append(pair)
+
+
+def _check_difference_ball(e: OpenSet, e_dma: DMA, spec: CounterLanguageSpec,
+                           w: str, kind: str) -> None:
+    """Re-verify, independently of the search, that the ball of ``w`` lies
+    in F1 delta E: by counter runs on prefixes of ``w`` and by acceptance
+    or product emptiness on E's automaton."""
+    run = counter_run(spec, w)
+    n = len(run.trace) - 1  # the counter stopped before w[n]
+    decided = run.status == DEAD
+    in_f1 = (decided and w[n] == F1_MARKER
+             and counter_run(spec, w[:n]).status == IN_V)
+    if kind == "ball_in_f1_not_e":
+        ball = open_to_dma(ball_open(F1_ALPHABET, w))
+        ok = in_f1 and is_empty(intersection(ball, e_dma))
+    else:
+        ok = decided and not in_f1 and e.accepts(w)
+    if not ok:
+        raise InvariantError(f"witness ball {w!r} must lie in F1 delta E ({kind})")
+
+
+def f1_refute_open(e: OpenSet, precision: int = 64) -> RefutationReport:
     """Strict-inequality certificate mu(E) != mu(F1), plus a witness ball.
 
     mu(F1) is one third of the least positive root of t^3 - 3t + 1, which
     is irrational, while mu(E) is rational, so refining the root bracket
     must eventually separate them; the separation is re-verified at doubled
-    precision.  The witness search looks for a ball inside F1 avoiding the
-    closure of E (side "less") or a ball inside E disjoint from F1 (side
-    "greater"); either shows the symmetric difference has non-empty
-    interior, which no meager set can cover.
+    precision.  Independently, ``_f1_difference_ball`` finds a ball inside
+    F1 delta E, which always exists; either shows that no meager set covers
+    the difference.  The ball is re-verified before it is returned.
     """
     if e.alphabet != F1_ALPHABET:
         raise ValueError("expected an open set over the alphabet a b c")
     spec = default_counter_spec()
     mu_e = measure_open(e)
     e_dma = open_to_dma(e)
-    cl = closure(e_dma)
-    if mu(cl) != mu_e:
+    if mu(closure(e_dma)) != mu_e:
         raise InvariantError("a regular open set has a null boundary")
     bits = max(8, precision)
     iv = min_positive_root(3, bits)
@@ -487,35 +509,14 @@ def f1_refute_open(e: OpenSet, precision: int = 64,
     iv2 = min_positive_root(3, replay_bits)
     if not (3 * mu_e < iv2.lo if side == "less" else 3 * mu_e > iv2.hi):
         raise InvariantError("the separation must replay at double precision")
-    witness = kind = None
-    if side == "less":
-        for v in spec.alphabet.iter_words(1, max(0, search_cap - 1)):
-            if counter_run(spec, v).status != IN_V:
-                continue
-            ball = ball_open(F1_ALPHABET, v + F1_MARKER)
-            if is_empty(intersection(open_to_dma(ball), cl)):
-                witness, kind = v + F1_MARKER, "ball_in_f1_not_e"
-                break
-    else:
-        for u in F1_ALPHABET.iter_words(1, search_cap):
-            if F1_MARKER not in u:
-                continue
-            if not e.accepts(u):
-                continue
-            if any(
-                u[j] == F1_MARKER and counter_run(spec, u[:j]).status == IN_V
-                for j in range(len(u))
-            ):
-                continue
-            witness, kind = u, "ball_in_e_not_f1"
-            break
+    witness, kind = _f1_difference_ball(e, spec)
+    _check_difference_ball(e, e_dma, spec, witness, kind)
     return RefutationReport(
         mu_e=mu_e,
         root_interval=iv,
         side=side,
         witness=witness,
         witness_kind=kind,
-        search_cap=search_cap,
         precision=bits,
         replay_precision=replay_bits,
     )

@@ -19,10 +19,20 @@ from omegabaire import (
     OpenSet,
     Interval,
     UPWord,
+    ball_open,
+    counter_run,
+    default_counter_spec,
+    empty_open,
+    f1_member_up,
+    intersection,
+    is_empty,
+    open_to_dma,
+    open_union,
     up_normalize,
 )
 from omegabaire.automata import nontrivial_sccs
 from omegabaire.measure import check_weights
+from omegabaire.onecounter import DEAD, IN_V
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -246,6 +256,41 @@ def root_bisection_oracle(k: int, precision: int = 64) -> Interval:
         else:
             hi = mid
     return Interval(lo, hi)
+
+
+def marked_member_balls(max_len: int) -> OpenSet:
+    """The union of the balls v.c over {a, b, c} for the members v of V of
+    length at most ``max_len``: an open subset of F1 that agrees with F1 on
+    every short prefix."""
+    spec = default_counter_spec()
+    e = empty_open(ABC)
+    for v in spec.alphabet.iter_words(1, max_len):
+        if counter_run(spec, v).status == IN_V:
+            e = open_union(e, ball_open(ABC, v + "c"))
+    return e
+
+
+def f1_ball_kind_oracle(e: OpenSet, w: str) -> str | None:
+    """Which part of F1 delta E the ball of ``w`` lies in, or None.
+
+    F1 is checked by counter runs on every prefix of ``w`` and by the drift
+    analysis of ``f1_member_up`` on a few periodic extensions; E by product
+    emptiness with the ball's automaton, or by acceptance of ``w``, which
+    puts the whole ball in E since E's final states absorb.
+    """
+    spec = default_counter_spec()
+    in_f1 = any(w[j] == "c" and counter_run(spec, w[:j]).status == IN_V
+                for j in range(len(w)))
+    out_f1 = not in_f1 and counter_run(spec, w).status == DEAD
+    for period in ("a", "b", "c", "abc"):
+        member = f1_member_up(up_normalize(ABC, w, period))
+        if (in_f1 and not member) or (out_f1 and member):
+            return None
+    if in_f1 and is_empty(intersection(open_to_dma(ball_open(ABC, w)), open_to_dma(e))):
+        return "ball_in_f1_not_e"
+    if out_f1 and e.accepts(w):
+        return "ball_in_e_not_f1"
+    return None
 
 
 def up_equal_oracle(x: UPWord, y: UPWord, slack: int = 4) -> bool:

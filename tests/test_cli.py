@@ -32,6 +32,7 @@ from helpers import (
     dma_singleton,
     dma_strongly_connected_16,
     dma_transient_cycle,
+    marked_member_balls,
 )
 
 
@@ -247,7 +248,26 @@ def test_v3_f2_witness(capsys):
 def test_v3_f1_refute(oaf_dir, capsys):
     code, out, _ = run(capsys, "v3", "f1-refute", oaf_dir["ball_c_open"])
     assert code == 0
-    assert "side: greater" in out and "witness_ball: c" in out
+    report = dict(line.split(": ", 1) for line in out.splitlines())
+    assert report["side"] == "greater" and report["witness_ball"] == "c"
+    assert report["witness_kind"] == "ball_in_e_not_f1"
+    # the ball search has no length cap to set
+    code, _, err = run(capsys, "v3", "f1-refute", oaf_dir["ball_c_open"],
+                       "--max-witness-len", "8")
+    assert code == 2 and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "FILE", "--measure"],
+    ["v3", "survival", "-n", "4", "--measure"],
+])
+def test_measure_spec_rejects_duplicate_entries(oaf_dir, capsys, argv):
+    argv = [oaf_dir["ball_a"] if a == "FILE" else a for a in argv]
+    code, out, err = run(capsys, *argv, "a=1/4 a=1/2 b=1/2")
+    assert (code, out) == (2, "") and "duplicate measure entry for 'a'" in err
+    # commas separate entries, as on an OAF measure line
+    code, out, _ = run(capsys, *argv, "a=1/4,b=3/4")
+    assert code == 0 and out
 
 
 def test_v3_membership_verbs(capsys):
@@ -421,20 +441,24 @@ def _mutate(rng: random.Random, text: str) -> str:
 
 
 def test_cli_fuzz_mutated_oaf(capsys, tmp_path):
-    base = serialize_oaf(from_dma(dma_a_ball_or_bw())) + "measure: a=1/3 b=2/3\n"
-    commands = [["measure"], ["meager"], ["empty"], ["closure"], ["interior"],
-                ["boolean", "complement"]]
+    cases = [
+        (serialize_oaf(from_dma(dma_a_ball_or_bw())) + "measure: a=1/3 b=2/3\n",
+         [["measure"], ["meager"], ["empty"], ["closure"], ["interior"],
+          ["boolean", "complement"]]),
+        (serialize_oaf(from_open(marked_member_balls(4))), [["v3", "f1-refute"]]),
+    ]
     rng = random.Random(2024)
     path = tmp_path / "mutant.oaf"
-    seen = set()
-    for _ in range(250):
-        text = base
-        for _ in range(rng.randint(1, 3)):
-            text = _mutate(rng, text)
-        path.write_text(text)
-        for cmd in commands:
-            code, _, err = run(capsys, *cmd, str(path))
-            assert code in (0, 2, 3), (cmd, text, err)
-            assert "Traceback" not in err, (cmd, text, err)
-            seen.add(code)
-    assert {0, 2} <= seen
+    for base, commands in cases:
+        seen = set()
+        for _ in range(250):
+            text = base
+            for _ in range(rng.randint(1, 3)):
+                text = _mutate(rng, text)
+            path.write_text(text)
+            for cmd in commands:
+                code, out, err = run(capsys, *cmd, str(path))
+                assert code in (0, 2, 3), (cmd, text, err)
+                assert "Traceback" not in out + err, (cmd, text, err)
+                seen.add(code)
+        assert {0, 2} <= seen

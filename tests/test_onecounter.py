@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -24,9 +25,23 @@ from omegabaire import (
     survival_sequence,
     uniform_weights,
 )
-from omegabaire.onecounter import F1_ALPHABET, IN_V, PROPER_PREFIX, DEAD, member_length_counts
+from omegabaire.onecounter import (
+    DEAD,
+    F1_ALPHABET,
+    IN_V,
+    PROPER_PREFIX,
+    Interval,
+    member_length_counts,
+)
 
-from helpers import AB, random_open, root_bisection_oracle, survival_sequence_oracle
+from helpers import (
+    AB,
+    f1_ball_kind_oracle,
+    marked_member_balls,
+    random_open,
+    root_bisection_oracle,
+    survival_sequence_oracle,
+)
 
 SPEC = default_counter_spec()
 
@@ -214,9 +229,19 @@ def test_certificate_k3():
 
 def test_certificate_k2():
     cert = irrationality_certificate(2)
-    assert cert.discriminant == 5
-    assert cert.nonsquare_bracket == (2, 3)
+    assert cert.bracket == Interval(Fraction(0), Fraction(3, 4))
+    # 1 is a root of t^3 - 2t + 1, but outside the bracket
+    assert dict(cert.candidates) == {Fraction(1): Fraction(0), Fraction(-1): Fraction(2)}
     assert cert.replay()
+
+
+def test_certificate_bracket_must_exclude_rational_roots():
+    cert = irrationality_certificate(2)
+    for lo in (Fraction(0), Fraction(1, 2)):
+        # each bracket holds the rational root 1 (and has no strict sign change)
+        assert not dataclasses.replace(cert, bracket=Interval(lo, Fraction(1))).replay()
+    assert not dataclasses.replace(cert, candidates=cert.candidates[:1]).replay()
+    assert irrationality_certificate(3).bracket == Interval(Fraction(0), Fraction(1))
 
 
 def test_certificate_render_deterministic():
@@ -339,7 +364,8 @@ def test_refute_a_ball():
     rep = f1_refute_open(ball_open(F1_ALPHABET, "a"))
     assert rep.mu_e == Fraction(1, 3)
     assert rep.side == "greater"
-    assert rep.witness == "aac"
+    assert rep.witness == "aa"
+    assert rep.witness_kind == "ball_in_e_not_f1"
 
 
 def test_refute_ball_inside_f1():
@@ -351,6 +377,29 @@ def test_refute_ball_inside_f1():
     v_part = rep.witness[:-1]
     assert rep.witness.endswith("c")
     assert counter_run(SPEC, v_part).status == IN_V
+
+
+@pytest.mark.parametrize("max_len", [7, 10, 13])
+def test_refute_union_of_marked_member_balls(max_len):
+    # E is the part of F1 marked by the members of V up to max_len, so every
+    # ball in F1 delta E marks a longer member
+    e = marked_member_balls(max_len)
+    rep = f1_refute_open(e)
+    assert rep.side == "less"
+    assert rep.witness_kind == "ball_in_f1_not_e"
+    assert len(rep.witness) > max_len + 1
+    assert f1_ball_kind_oracle(e, rep.witness) == rep.witness_kind
+    if max_len == 7:
+        assert e.n_states == 27 and rep.witness == "baabaabaaac"
+
+
+def test_refute_no_proper_prefix_is_a_witness():
+    rng = random.Random(77)
+    for _ in range(20):
+        e = random_open(rng, F1_ALPHABET, 6)
+        w = f1_refute_open(e).witness
+        assert f1_ball_kind_oracle(e, w) is not None
+        assert all(f1_ball_kind_oracle(e, w[:j]) is None for j in range(len(w)))
 
 
 def test_refute_interval_separates_strictly():

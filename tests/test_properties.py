@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from omegabaire import (  # noqa: E402
     DMA,
+    OpenSet,
     closure,
     complement,
+    f1_refute_open,
     is_meager,
     is_meager_via_measure,
     union,
@@ -17,7 +19,7 @@ from omegabaire import (  # noqa: E402
 from omegabaire.automata import _lasso_witness, _realizable_sets, nontrivial_sccs  # noqa: E402
 from omegabaire.conditions import family_atom  # noqa: E402
 
-from helpers import AB, ABC, realizable_sets_oracle  # noqa: E402
+from helpers import AB, ABC, f1_ball_kind_oracle, realizable_sets_oracle  # noqa: E402
 
 
 def _reach(rows, q) -> frozenset[int]:
@@ -100,6 +102,29 @@ def test_lasso_witness_visits_exactly_its_set(a):
         only = DMA(a.alphabet, a.n_states, a.initial, a.transitions,
                    family_atom(a.n_states, (C,)), (C,))
         assert up_membership(only, x) and not up_membership(other, x)
+
+
+@st.composite
+def abc_open_sets(draw):
+    """Open sets over ``abc`` drawn on 20-60 states with up to three finals.
+
+    Symbol ``a`` walks the non-final states in increasing order, so all of
+    them are reachable; every other edge is arbitrary.
+    """
+    n = draw(st.integers(20, 60))
+    finals = draw(st.sets(st.integers(1, n - 1), max_size=3))
+    rows = [[draw(st.integers(0, n - 1)) for _ in ABC] for _ in range(n)]
+    walk = [q for q in range(n) if q not in finals]
+    for q, t in zip(walk, walk[1:]):
+        rows[q][0] = t
+    return OpenSet.from_parts(ABC, n, 0, rows, finals)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(abc_open_sets())
+def test_f1_refutation_ball_lies_in_the_difference(e):
+    rep = f1_refute_open(e)
+    assert f1_ball_kind_oracle(e, rep.witness) == rep.witness_kind
 
 
 @st.composite
