@@ -54,7 +54,7 @@ show("every word starting with a", ball)
 print()
 print("== Meager but dense ==")
 print("'finitely many b' avoids no infix: every finite word can still occur.")
-print("avoided_infix(finitely many b, cap 6):", avoided_infix(fin_b, max_len=6))
+print("avoided_infix(finitely many b):", avoided_infix(fin_b))
 print("'just aaaa...' is nowhere dense and avoids:", repr(avoided_infix(singleton)))
 
 print()

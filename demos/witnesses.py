@@ -8,7 +8,6 @@ re-verifies the pair with independent decision procedures.
 from omegabaire import (
     Alphabet,
     DMA,
-    complement,
     complement_witness,
     finite_up_abp,
     is_empty,

@@ -636,7 +636,7 @@ def _find_accepting_set(a: DMA) -> frozenset[int] | None:
     return next((D for _, D in _accepting_sets(a, a.cond)), None)
 
 
-def _bfs_word(a: DMA, src: int, targets: frozenset[int]) -> tuple[str, int]:
+def _bfs_word(a: Dfa | DMA, src: int, targets: frozenset[int]) -> tuple[str, int]:
     """Shortlex-least word from ``src`` into ``targets`` (possibly empty)."""
     if src in targets:
         return "", src
@@ -811,6 +811,12 @@ def _live_states(a: DMA) -> tuple[int, ...]:
     return a._live
 
 
+def _doomed_states(a: DMA) -> set[int]:
+    """States from which some omega-word is rejected: the complement's
+    language from them is non-empty."""
+    return _states_reaching(a, _positive_states(a, c_not(a.cond)))
+
+
 def _live_restriction(a: DMA) -> tuple[list[tuple[int, ...]], int, int | None] | None:
     """Transitions among the live states, or None if the initial state is dead.
 
@@ -847,10 +853,9 @@ def closure(a: DMA) -> DMA:
 def interior(a: DMA) -> OpenSet:
     """Topological interior, as an open set.
 
-    A state is marked final iff every omega-word read from it is accepted,
-    i.e. the complement's language from that state is empty.
+    A state is marked final iff every omega-word read from it is accepted.
     """
-    doomed = _states_reaching(a, _positive_states(a, c_not(a.cond)))
+    doomed = _doomed_states(a)
     full = [q for q in range(a.n_states) if q not in doomed]
     return OpenSet.from_parts(a.alphabet, a.n_states, a.initial, a.transitions, full)
 

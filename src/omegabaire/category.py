@@ -1,6 +1,7 @@
 """Topological classification of regular omega-languages in Cantor space.
 
-Density, nowhere density and meagerness are decided on the automaton graph.
+Density, nowhere density and meagerness are decided on the automaton graph,
+from the live states and bottom SCCs that each automaton caches.
 Meagerness additionally has a second, measure-theoretic decision procedure
 (zero uniform measure); the two are implemented independently and are
 required to agree, which the test suite checks aggressively.
@@ -8,7 +9,7 @@ required to agree, which the test suite checks aggressively.
 
 from __future__ import annotations
 
-from .automata import DMA, avoid_infix_dma, closure, contains, interior, pref_dfa
+from .automata import DMA, InvariantError, _live_states, avoid_infix_dma, contains
 from .measure import bsccs, mu
 
 
@@ -43,31 +44,54 @@ def contains_disjunctive(a: DMA) -> bool:
 
 
 def is_dense(a: DMA) -> bool:
-    """Dense iff every finite word is the prefix of some member."""
-    d = pref_dfa(a)
-    return len(d.finals) == d.n_states
+    """Dense iff every finite word is the prefix of some member: every
+    state is live, as every state is reachable."""
+    return len(_live_states(a)) == a.n_states
 
 
 def is_nowhere_dense(a: DMA) -> bool:
-    """The closure contains no non-empty open set."""
-    return interior(closure(a)).is_empty()
+    """The closure contains no ball: no bottom SCC meets the live states,
+    where meagerness asks that no bottom SCC be accepted whole.
 
-
-def avoided_infix(a: DMA, max_len: int = 8) -> str | None:
-    """Shortlex-least word that no member of the language contains as infix.
-
-    Such a word exists whenever the language is nowhere dense, and more
-    generally may exist for meager languages; the precondition here is
-    meagerness.  Candidates are verified by automaton containment before
-    being returned.  Returns None when the search space up to ``max_len``
-    is exhausted (existence carries no length bound).
+    A live bottom SCC is live throughout, so a ball reaching it lies in the
+    closure; without one, every state leads into the dead states.
     """
-    if not is_meager(a):
-        raise ValueError("avoided_infix requires a meager language")
-    for w in a.alphabet.iter_words(1, max_len):
-        if contains(avoid_infix_dma(a.alphabet, w), a):
-            return w
-    return None
+    live = set(_live_states(a))
+    return all(live.isdisjoint(b) for b in bsccs(a))
+
+
+def avoided_infix(a: DMA) -> str | None:
+    """Shortlex-least non-empty word that no member of the language
+    contains as an infix, or None iff the language is not nowhere dense.
+
+    As every state is reachable, w is avoided iff its image of the state
+    set misses the live states, and some w of length at most m^2 is, m the
+    number of live states (see the README).  A breadth-first search in
+    symbol order over the images' live parts finds the least one; it is
+    exponential in the worst case, as shortest reset words are NP-hard to
+    find (Eppstein 1990).  The word is verified before it is returned.
+    """
+    if not is_nowhere_dense(a):
+        return None
+    live = frozenset(_live_states(a))
+    rows = a.transitions
+    seen = {live}
+    frontier = [(live, "")]
+    while frontier:
+        nxt = []
+        for image, w in frontier:
+            for si, sym in enumerate(a.alphabet.symbols):
+                t = live.intersection(rows[q][si] for q in image)
+                # before the seen check: the empty language starts empty
+                if not t:
+                    if not contains(avoid_infix_dma(a.alphabet, w + sym), a):
+                        raise InvariantError(f"every member must avoid {w + sym!r}")
+                    return w + sym
+                if t not in seen:
+                    seen.add(t)
+                    nxt.append((t, w + sym))
+        frontier = nxt
+    raise InvariantError("a nowhere dense language must avoid some infix")
 
 
 __all__ = [

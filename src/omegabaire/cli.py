@@ -141,8 +141,8 @@ def _cmd_empty(args) -> int:
 
 def _cmd_avoided_infix(args) -> int:
     def one(path: str) -> str:
-        w = avoided_infix(_read_dma(path)[0], args.max_witness_len)
-        return "exhausted" if w is None else w
+        w = avoided_infix(_read_dma(path)[0])
+        return "none" if w is None else w
 
     return _run_per_file(args, one)
 
@@ -322,11 +322,9 @@ def _build_parser() -> argparse.ArgumentParser:
     files_cmd("disjunctive", "_cmd_decision", [],
               "does the language contain a disjunctive word?",
               decide="contains_disjunctive")
-    sp = files_cmd("avoided-infix", "_cmd_avoided_infix", [],
-                   "shortlex-least infix avoided by the whole (meager) language")
-    sp.add_argument("--max-witness-len", "--max-len", type=int, default=8,
-                    metavar="N", dest="max_witness_len",
-                    help="length cap for searched infixes")
+    files_cmd("avoided-infix", "_cmd_avoided_infix", [],
+              "shortlex-least infix avoided by the whole language, "
+              "or none if it is not nowhere dense")
     files_cmd("empty", "_cmd_empty", [],
               "emptiness, with an ultimately periodic witness if non-empty")
 

@@ -19,7 +19,16 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence
 
-from .automata import DMA, Dfa, OpenSet, nontrivial_sccs, strongly_connected_components
+from .automata import (
+    DMA,
+    Dfa,
+    OpenSet,
+    _bfs_renumber,
+    _bfs_word,
+    _states_reaching,
+    nontrivial_sccs,
+    strongly_connected_components,
+)
 from .conditions import evaluate
 from .words import Alphabet
 
@@ -243,61 +252,16 @@ def sigma_prefix_free(d: Dfa, weights: dict[str, Fraction] | None = None
     prefix in W: an absorption probability into the final states.  Raises
     :class:`PrefixFreeViolation` (with a witness pair) otherwise.
     """
-    wvec = check_weights(d.alphabet, weights)
-    reach = _reach_words(d)
-    for f, word in reach.items():
-        if f not in d.finals:
-            continue
-        ext = _word_to_final(d, f)
-        if ext is not None:
-            raise PrefixFreeViolation(word, word + ext)
-    k = len(d.alphabet)
-    rows = tuple(
-        (q,) * k if q in d.finals else d.transitions[q] for q in range(d.n_states)
-    )
-
-    def bottom(C: frozenset[int]) -> Fraction:
-        return Fraction(1) if C & d.finals else Fraction(0)
-
-    return _markov_values(d.n_states, rows, wvec, bottom)[d.initial]
-
-
-def _reach_words(d: Dfa) -> dict[int, str]:
-    """Shortlex-least access word for every reachable state."""
-    out = {d.initial: ""}
-    frontier = [d.initial]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for si, sym in enumerate(d.alphabet.symbols):
-                t = d.transitions[q][si]
-                if t not in out:
-                    out[t] = out[q] + sym
-                    nxt.append(t)
-        frontier = nxt
-    return out
-
-
-def _word_to_final(d: Dfa, src: int) -> str | None:
-    """Shortlex-least non-empty word from ``src`` into a final state."""
-    seen = {}
-    frontier = []
-    for si, sym in enumerate(d.alphabet.symbols):
-        t = d.transitions[src][si]
-        if t not in seen:
-            seen[t] = sym
-            if t in d.finals:
-                return sym
-            frontier.append(t)
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for si, sym in enumerate(d.alphabet.symbols):
-                t = d.transitions[q][si]
-                if t not in seen:
-                    seen[t] = seen[q] + sym
-                    if t in d.finals:
-                        return seen[t]
-                    nxt.append(t)
-        frontier = nxt
-    return None
+    renum, _ = _bfs_renumber(d.transitions, d.initial)
+    reaching = _states_reaching(d, set(d.finals))
+    # reachable finals from which a non-empty word leads to a final
+    bad = frozenset(f for f in renum if f in d.finals
+                    and any(t in reaching for t in d.transitions[f]))
+    if bad:
+        shorter, f = _bfs_word(d, d.initial, bad)
+        ext = min((s + _bfs_word(d, t, d.finals)[0]
+                   for s, t in zip(d.alphabet.symbols, d.transitions[f]) if t in reaching),
+                  key=lambda w: (len(w), w))
+        raise PrefixFreeViolation(shorter, shorter + ext)
+    return measure_open(OpenSet.from_parts(d.alphabet, d.n_states, d.initial,
+                                           d.transitions, d.finals), weights)

@@ -26,9 +26,11 @@ from math import lcm
 from .automata import (
     DMA,
     InvariantError,
-    _states_reaching,
+    _doomed_states,
+    _live_states,
     ball_open,
     closure,
+    complement,
     intersection,
     is_empty,
     open_to_dma,
@@ -431,20 +433,21 @@ def _f1_status(spec: CounterLanguageSpec, status: int | str, s: str) -> int | st
     return _OUT_F1
 
 
-def _f1_difference_ball(e: OpenSet, spec: CounterLanguageSpec) -> tuple[str, str]:
+def _f1_difference_ball(e: DMA, spec: CounterLanguageSpec) -> tuple[str, str]:
     """A word whose ball lies in F1 delta E, and its kind.
 
     Breadth-first search, in symbol order, over pairs (state of E, F1
     status of the prefix), so the word is the shortlex-least one reaching
-    its pair.  It stops at the first pair (q, in) with q unable to reach a
-    final state of E, or (q, out) with q final.  Such a pair is
-    always reachable: without one, every ball of E meets F1 and every ball
-    of F1 meets E, so cl(E) = cl(F1), whose part over {a, b} is F2, which
-    is not regular.  Each length has finitely many pairs, so the search
-    ends.
+    its pair.  It stops at the first pair (q, in) with q dead in E's
+    automaton ``e``, or (q, out) with q not doomed, so that every extension
+    from q lies in E.  Such a pair is always reachable: without one, every
+    ball of E meets F1 and every ball of F1 meets E, so cl(E) = cl(F1),
+    whose part over {a, b} is F2, which is not regular.  Each length has
+    finitely many pairs, so the search ends.
     """
     rows = e.transitions
-    live = _states_reaching(e, set(e.finals))
+    live = set(_live_states(e))
+    doomed = _doomed_states(e)
     start = (e.initial, 1)
     words = {start: ""}
     order = [start]
@@ -452,7 +455,7 @@ def _f1_difference_ball(e: OpenSet, spec: CounterLanguageSpec) -> tuple[str, str
         w = words[q, status]
         if status == _IN_F1 and q not in live:
             return w, "ball_in_f1_not_e"
-        if status == _OUT_F1 and q in e.finals:
+        if status == _OUT_F1 and q not in doomed:
             return w, "ball_in_e_not_f1"
         for s, t in zip(e.alphabet.symbols, rows[q]):
             pair = (t, _f1_status(spec, status, s))
@@ -461,21 +464,21 @@ def _f1_difference_ball(e: OpenSet, spec: CounterLanguageSpec) -> tuple[str, str
                 order.append(pair)
 
 
-def _check_difference_ball(e: OpenSet, e_dma: DMA, spec: CounterLanguageSpec,
+def _check_difference_ball(e_dma: DMA, spec: CounterLanguageSpec,
                            w: str, kind: str) -> None:
     """Re-verify, independently of the search, that the ball of ``w`` lies
-    in F1 delta E: by counter runs on prefixes of ``w`` and by acceptance
-    or product emptiness on E's automaton."""
+    in F1 delta E: by counter runs on prefixes of ``w`` and by product
+    emptiness on E's automaton."""
     run = counter_run(spec, w)
     n = len(run.trace) - 1  # the counter stopped before w[n]
     decided = run.status == DEAD
     in_f1 = (decided and w[n] == F1_MARKER
              and counter_run(spec, w[:n]).status == IN_V)
+    ball = open_to_dma(ball_open(F1_ALPHABET, w))
     if kind == "ball_in_f1_not_e":
-        ball = open_to_dma(ball_open(F1_ALPHABET, w))
         ok = in_f1 and is_empty(intersection(ball, e_dma))
     else:
-        ok = decided and not in_f1 and e.accepts(w)
+        ok = decided and not in_f1 and is_empty(intersection(ball, complement(e_dma)))
     if not ok:
         raise InvariantError(f"witness ball {w!r} must lie in F1 delta E ({kind})")
 
@@ -509,8 +512,8 @@ def f1_refute_open(e: OpenSet, precision: int = 64) -> RefutationReport:
     iv2 = min_positive_root(3, replay_bits)
     if not (3 * mu_e < iv2.lo if side == "less" else 3 * mu_e > iv2.hi):
         raise InvariantError("the separation must replay at double precision")
-    witness, kind = _f1_difference_ball(e, spec)
-    _check_difference_ball(e, e_dma, spec, witness, kind)
+    witness, kind = _f1_difference_ball(e_dma, spec)
+    _check_difference_ball(e_dma, spec, witness, kind)
     return RefutationReport(
         mu_e=mu_e,
         root_interval=iv,

@@ -19,7 +19,10 @@ from omegabaire import (
     OpenSet,
     Interval,
     UPWord,
+    avoid_infix_dma,
     ball_open,
+    complement,
+    contains,
     counter_run,
     default_counter_spec,
     empty_open,
@@ -275,8 +278,7 @@ def f1_ball_kind_oracle(e: OpenSet, w: str) -> str | None:
 
     F1 is checked by counter runs on every prefix of ``w`` and by the drift
     analysis of ``f1_member_up`` on a few periodic extensions; E by product
-    emptiness with the ball's automaton, or by acceptance of ``w``, which
-    puts the whole ball in E since E's final states absorb.
+    emptiness of the ball's automaton with E's or with its complement.
     """
     spec = default_counter_spec()
     in_f1 = any(w[j] == "c" and counter_run(spec, w[:j]).status == IN_V
@@ -286,10 +288,21 @@ def f1_ball_kind_oracle(e: OpenSet, w: str) -> str | None:
         member = f1_member_up(up_normalize(ABC, w, period))
         if (in_f1 and not member) or (out_f1 and member):
             return None
-    if in_f1 and is_empty(intersection(open_to_dma(ball_open(ABC, w)), open_to_dma(e))):
+    ball = open_to_dma(ball_open(ABC, w))
+    if in_f1 and is_empty(intersection(ball, open_to_dma(e))):
         return "ball_in_f1_not_e"
-    if out_f1 and e.accepts(w):
+    if out_f1 and is_empty(intersection(ball, complement(open_to_dma(e)))):
         return "ball_in_e_not_f1"
+    return None
+
+
+def avoided_infix_oracle(a: DMA, max_len: int) -> str | None:
+    """Shortlex-least word of length at most ``max_len`` that no member of
+    the language contains as an infix, by one containment check per
+    candidate word; None when no candidate is avoided."""
+    for w in a.alphabet.iter_words(1, max_len):
+        if contains(avoid_infix_dma(a.alphabet, w), a):
+            return w
     return None
 
 

@@ -49,7 +49,6 @@ from helpers import (
     random_open,
     random_up,
     random_weights,
-    rerooted,
 )
 
 

@@ -14,7 +14,6 @@ from omegabaire import (
     complement,
     containment_counterexample,
     contains,
-    empty_dma,
     empty_open,
     equivalent,
     full_dma,
@@ -327,6 +326,10 @@ def test_graph_of_each_automaton_analysed_once(monkeypatch):
     assert not is_nowhere_dense(a)
     assert sum(1 for b, cond in calls if b is a and cond is a.cond) == 1
     assert own_searches(a) == n_sccs
+    # density and nowhere density read the cached live set and search nothing
+    searched = len(searches)
+    assert not is_dense(a) and not is_nowhere_dense(a)
+    assert len(searches) == searched
     assert _query_results(a) == first and own_searches(a) == n_sccs
 
     # the complement shares the transitions, so the SCCs, but not the live

@@ -6,11 +6,11 @@ from omegabaire import (
     DMA,
     avoid_infix_dma,
     avoided_infix,
-    contains,
     contains_disjunctive,
     empty_dma,
     full_dma,
     is_dense,
+    is_empty,
     is_meager,
     is_meager_via_measure,
     is_nowhere_dense,
@@ -19,7 +19,15 @@ from omegabaire import (
 )
 from omegabaire import ball_open, complement, intersection
 
-from helpers import AB, dma_ball_a, dma_inf_a, dma_singleton, dma_transient_cycle, random_dma
+from helpers import (
+    AB,
+    avoided_infix_oracle,
+    dma_ball_a,
+    dma_inf_a,
+    dma_singleton,
+    dma_transient_cycle,
+    random_dma,
+)
 
 
 def dma_eventually_only_a() -> DMA:
@@ -115,33 +123,54 @@ def test_avoided_infix_known():
 
 
 def test_avoided_infix_requires_meager():
-    with pytest.raises(ValueError):
-        avoided_infix(full_dma(AB))
+    # a non-meager language has every word as an infix: the answer is None
+    for a in (full_dma(AB), dma_ball_a(), dma_inf_a()):
+        assert not is_meager(a) and avoided_infix(a) is None
+    # the empty language avoids every word, the first symbol least
+    assert avoided_infix(empty_dma(AB)) == "a"
 
 
 def test_avoided_infix_dense_meager_exhausts():
-    assert avoided_infix(dma_eventually_only_a(), max_len=6) is None
+    # meager but dense: still every word is an infix, decided without a cap
+    a = dma_eventually_only_a()
+    assert is_meager(a) and is_dense(a)
+    assert not is_nowhere_dense(a) and avoided_infix(a) is None
 
 
-def test_avoided_infix_sound_and_implies_nowhere_dense():
+def test_avoided_infix_matches_capped_enumeration():
     rng = random.Random(43)
     found = 0
     for _ in range(80):
-        a = random_dma(rng, 4, alphabets=(AB,))
-        if not is_meager(a):
-            continue
-        w = avoided_infix(a, max_len=6)
-        if w is None:
-            continue
-        found += 1
-        assert contains(avoid_infix_dma(AB, w), a)
-        assert is_nowhere_dense(a)
-        # no member exhibits the infix: intersecting with "must contain w"
-        # through the complement of the avoider is empty
-        must_contain = complement(avoid_infix_dma(AB, w))
-        from omegabaire import is_empty
-        assert is_empty(intersection(a, must_contain))
+        a = random_dma(rng, 5, alphabets=(AB,))
+        w = avoided_infix(a)
+        assert (w is None) == (not is_nowhere_dense(a))
+        expected = avoided_infix_oracle(a, 6)
+        if expected is not None:
+            found += 1
+            assert w == expected
+        elif w is not None:
+            assert len(w) > 6
+        if w is not None:
+            # no member exhibits the infix
+            assert is_empty(intersection(a, complement(avoid_infix_dma(a.alphabet, w))))
     assert found >= 10
+
+
+def cerny_dma(n: int) -> DMA:
+    """States 0..n-1 and a sink over {a, b}: ``a`` turns the cycle, ``b``
+    moves 0 to 1 and n-1 to the sink and fixes the rest; the cycle accepts."""
+    rows = [[(q + 1) % n, 1 if q == 0 else n if q == n - 1 else q] for q in range(n)]
+    rows.append([n, n])
+    return DMA.from_parts(AB, n + 1, 0, rows, [set(range(n))])
+
+
+@pytest.mark.parametrize("n", [6, 10, 14])
+def test_avoided_infix_cerny_family(n):
+    # driving every state into the sink needs a word of length 2n - 3
+    w = avoided_infix(cerny_dma(n))
+    assert w is not None and len(w) == 2 * n - 3
+    if n == 6:
+        assert w == avoided_infix_oracle(cerny_dma(n), 2 * n - 3)
 
 
 def test_large_transient_scc_is_neither_dense_nor_nowhere_dense():

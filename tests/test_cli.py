@@ -116,14 +116,16 @@ def test_empty_and_witness(oaf_dir, capsys):
     assert "(" in out and ")^w" in out
 
 
-def test_avoided_infix_and_alias(oaf_dir, capsys):
+def test_avoided_infix_decides(oaf_dir, capsys):
     code, out, _ = run(capsys, "avoided-infix", oaf_dir["singleton"])
     assert (code, out) == (0, "b\n")
-    code, out, _ = run(capsys, "avoided-infix", oaf_dir["singleton"], "--max-len", "3")
-    assert (code, out) == (0, "b\n")
-    code, out, _ = run(capsys, "avoided-infix", oaf_dir["singleton"],
-                       "--max-witness-len", "3")
-    assert (code, out) == (0, "b\n")
+    # every word is an infix of some word with infinitely many a
+    code, out, _ = run(capsys, "avoided-infix", oaf_dir["inf_a"])
+    assert (code, out) == (0, "none\n")
+    # the search has no length cap to set
+    for flag in ("--max-len", "--max-witness-len"):
+        code, _, err = run(capsys, "avoided-infix", oaf_dir["singleton"], flag, "3")
+        assert code == 2 and "unrecognized arguments" in err
 
 
 def test_closure_emits_parseable_oaf(oaf_dir, capsys):

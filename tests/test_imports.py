@@ -1,0 +1,61 @@
+"""No module in ``src/``, ``tests/`` or ``demos/`` imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).parents[1]
+FILES = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Each name bound by an import, with the line that binds it."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Names read anywhere, in string annotations too, and every string
+    constant: the names listed in ``__all__`` and those a module looks up
+    by name, as the CLI does its decision functions."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            annotations = [a.annotation for a in (*args.posonlyargs, *args.args,
+                                                  *args.kwonlyargs, args.vararg, args.kwarg)
+                           if a is not None] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(ann.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+    return used
+
+
+def test_files_found():
+    assert any(p.parts[-2] == "omegabaire" for p in FILES)
+    assert any(p.name == "helpers.py" for p in FILES)
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_import(path):
+    tree = ast.parse(path.read_text(), str(path))
+    used = _used(tree)
+    unused = sorted((line, name) for name, line in _imported(tree).items() if name not in used)
+    assert not unused, f"unused imports: {unused}"

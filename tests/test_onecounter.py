@@ -7,6 +7,7 @@ import pytest
 from omegabaire import (
     Alphabet,
     CounterLanguageSpec,
+    OpenSet,
     ball_open,
     counter_run,
     default_counter_spec,
@@ -19,11 +20,9 @@ from omegabaire import (
     irrationality_certificate,
     measure_open,
     min_positive_root,
-    open_union,
     parse_up,
     survival_probability,
     survival_sequence,
-    uniform_weights,
 )
 from omegabaire.onecounter import (
     DEAD,
@@ -351,6 +350,14 @@ def test_refute_full_space():
     assert rep.side == "greater"
     assert rep.witness == "c"
     assert rep.witness_kind == "ball_in_e_not_f1"
+
+
+def test_refute_stops_once_every_extension_lies_in_e():
+    # X.X.X^omega, written as a chain whose final state comes two letters
+    # late, is the whole space, so the ball of c already lies in E
+    e = OpenSet.from_parts(F1_ALPHABET, 3, 0, [[1, 1, 1], [2, 2, 2], [2, 2, 2]], [2])
+    rep = f1_refute_open(e)
+    assert (rep.witness, rep.witness_kind) == ("c", "ball_in_e_not_f1")
 
 
 def test_refute_c_ball():

@@ -8,15 +8,27 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from omegabaire import (  # noqa: E402
     DMA,
     OpenSet,
+    avoid_infix_dma,
+    avoided_infix,
     closure,
     complement,
+    contains,
     f1_refute_open,
+    interior,
+    is_dense,
     is_meager,
     is_meager_via_measure,
+    is_nowhere_dense,
+    pref_dfa,
     union,
     up_membership,
 )
-from omegabaire.automata import _lasso_witness, _realizable_sets, nontrivial_sccs  # noqa: E402
+from omegabaire.automata import (  # noqa: E402
+    _lasso_witness,
+    _live_states,
+    _realizable_sets,
+    nontrivial_sccs,
+)
 from omegabaire.conditions import family_atom  # noqa: E402
 
 from helpers import AB, ABC, f1_ball_kind_oracle, realizable_sets_oracle  # noqa: E402
@@ -69,6 +81,23 @@ def test_graph_meagerness_matches_measure(a):
     # the complement reuses the SCCs cached on ``a`` by the first call
     for d in (a, complement(a)):
         assert is_meager(d) == is_meager_via_measure(d)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(block_dmas())
+def test_density_and_avoided_infix_match_the_topology(a):
+    # closure, interior and the prefix DFA build fresh automata, while the
+    # decisions read only the live set and the bottom SCCs of ``a``
+    nowhere_dense = is_nowhere_dense(a)
+    assert nowhere_dense == interior(closure(a)).is_empty()
+    p = pref_dfa(a)
+    assert is_dense(a) == (len(p.finals) == p.n_states)
+    w = avoided_infix(a)
+    assert (w is None) == (not nowhere_dense)
+    if w is not None:
+        assert contains(avoid_infix_dma(a.alphabet, w), a)
+        # the empty language avoids a first symbol
+        assert len(w) <= max(1, len(_live_states(a)) ** 2)
 
 
 def _periodic_states(a, x) -> tuple[int, frozenset[int]]:
