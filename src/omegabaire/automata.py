@@ -15,14 +15,17 @@ space of omega-words as a DFA with absorbing final states.
 
 One iterative Tarjan, :func:`strongly_connected_components`, serves every
 graph question: emptiness, closure, interior, density, family
-materialization, and the bottom components behind measure and category.
+materialization, and the bottom components behind measure, category and
+witness synthesis.
 It runs directly on the subgraph induced on a region of states.  Each
 :class:`DMA` computes its nontrivial SCCs, the accepting set of each SCC
 under its own condition and its live states at most once and caches them; a
 complement shares its operand's SCCs, since the transitions are the same,
-but searches them afresh.  A witness's period is built from two
-breadth-first trees inside its accepting set, in time linear in the set and
-the period.
+but searches them afresh.  Every search runs under an automaton's own
+condition: the states from which some word is rejected, behind the
+interior, are the live states of the complement.  A witness's period is
+built from two breadth-first trees inside its accepting set, in time linear
+in the set and the period.
 
 State ids are always normalized to breadth-first shortlex order from the
 initial state (which therefore is state 0), and unreachable states are
@@ -420,6 +423,21 @@ def nontrivial_sccs(a: DMA) -> list[frozenset[int]]:
     return [frozenset(C) for C in a._sccs]
 
 
+def bsccs(a: DMA) -> list[frozenset[int]]:
+    """Bottom strongly connected components, least state first.
+
+    Every state is reachable by construction; a random full-support run ends
+    up inside one of these and almost surely visits all of it forever, so
+    meagerness, nowhere density and almost-sure acceptance are decided on
+    them without a solve.  In a complete automaton every state has a
+    successor, so a bottom component holds a cycle and is among the cached
+    :func:`nontrivial_sccs`.
+    """
+    rows = a.transitions
+    return [C for C in nontrivial_sccs(a)
+            if all(t in C for q in C for t in rows[q])]
+
+
 def _realizable_sets(a: DMA) -> list[tuple[int, ...]]:
     """All candidate infinitely-visited sets: cycle-closed subsets of SCCs,
     as sorted tuples (which take less memory than frozensets), smallest
@@ -609,22 +627,19 @@ def _refine(rows, region: frozenset[int], exact: dict[Atom, frozenset[int]],
     return None
 
 
-def _accepting_sets(a: DMA, cond: Cond) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
+def _accepting_sets(a: DMA) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
     """``(C, D)`` for each SCC ``C`` of ``a``, least state first, holding a
-    cycle-closed ``D`` that satisfies ``cond``.
+    cycle-closed ``D`` that satisfies ``a``'s condition.
 
-    For ``a``'s own condition each SCC is searched at most once: the results
-    are cached on ``a`` as far as the iteration gets.
+    Each SCC is searched at most once: the results are cached on ``a`` as far
+    as the iteration gets.
     """
-    if cond is not a.cond:
-        found = []
-    elif a._accepting is None:
-        found = a._accepting = []
-    else:
-        found = a._accepting
+    if a._accepting is None:
+        a._accepting = []
+    found = a._accepting
     for i, C in enumerate(nontrivial_sccs(a)):
         if i == len(found):
-            D = _search_scc(a.transitions, cond, C)
+            D = _search_scc(a.transitions, a.cond, C)
             # an SCC accepted whole shares the cached tuple of its states
             found.append(None if D is None else a._sccs[i] if D == C else tuple(sorted(D)))
         D = found[i]
@@ -633,7 +648,7 @@ def _accepting_sets(a: DMA, cond: Cond) -> Iterator[tuple[frozenset[int], frozen
 
 
 def _find_accepting_set(a: DMA) -> frozenset[int] | None:
-    return next((D for _, D in _accepting_sets(a, a.cond)), None)
+    return next((D for _, D in _accepting_sets(a)), None)
 
 
 def _bfs_word(a: Dfa | DMA, src: int, targets: frozenset[int]) -> tuple[str, int]:
@@ -777,14 +792,6 @@ def equivalent(a: DMA, b: DMA) -> bool:
 # topology: closure, interior, density
 
 
-def _positive_states(a: DMA, cond: Cond) -> set[int]:
-    """States of SCCs containing a cycle-closed set satisfying ``cond``."""
-    out: set[int] = set()
-    for C, _ in _accepting_sets(a, cond):
-        out |= C
-    return out
-
-
 def _states_reaching(a: Dfa | DMA, targets: set[int]) -> set[int]:
     preds: list[set[int]] = [set() for _ in range(a.n_states)]
     for q in range(a.n_states):
@@ -807,14 +814,16 @@ def _live_states(a: DMA) -> tuple[int, ...]:
     Computed once per automaton and cached on it.
     """
     if a._live is None:
-        a._live = tuple(sorted(_states_reaching(a, _positive_states(a, a.cond))))
+        a._live = tuple(sorted(_states_reaching(
+            a, {q for C, _ in _accepting_sets(a) for q in C})))
     return a._live
 
 
 def _doomed_states(a: DMA) -> set[int]:
-    """States from which some omega-word is rejected: the complement's
-    language from them is non-empty."""
-    return _states_reaching(a, _positive_states(a, c_not(a.cond)))
+    """States from which some omega-word is rejected: the live states of the
+    complement, which shares ``a``'s SCCs once they are computed."""
+    nontrivial_sccs(a)
+    return set(_live_states(complement(a)))
 
 
 def _live_restriction(a: DMA) -> tuple[list[tuple[int, ...]], int, int | None] | None:

@@ -3,9 +3,12 @@
 A witness for a language F is a pair (E, F') with E a regular open set and
 F' a regular meager language such that F and E differ only inside F'
 (F symmetric-difference E is contained in F').  Every regular language has
-one; the synthesis here marks the states from which acceptance has uniform
-probability exactly 1 and takes E as the words that ever reach such a
-state, so that the symmetric difference is a null set and hence meager.
+one.  The synthesis here is a graph pass with no linear solve: it marks the
+states that reach no rejecting bottom SCC, which are exactly those accepting
+with probability 1 under any full-support Bernoulli measure (the Prob1
+precomputation of probabilistic model checking, Baier & Katoen 2008,
+section 10.1), and takes E as the words that ever reach such a state.  The
+symmetric difference is then a null set, hence meager.
 
 Constructions never trust themselves: synthesis and the union/complement
 composition steps all re-verify their output before returning it.
@@ -19,7 +22,9 @@ from .automata import (
     DMA,
     InvariantError,
     OpenSet,
+    _states_reaching,
     avoid_infix_dma,
+    bsccs,
     complement,
     containment_counterexample,
     empty_open,
@@ -32,7 +37,6 @@ from .automata import (
     up_membership,
 )
 from .category import is_meager, is_nowhere_dense
-from .measure import acceptance_probabilities, mu
 from .words import UPWord, up_non_infix_witness
 
 
@@ -77,23 +81,23 @@ def verify_abp_witness(f: DMA, w: ABPWitness) -> WitnessCheck:
 def synthesize_abp_witness(f: DMA) -> ABPWitness:
     """Witness for an arbitrary DMA; total, and self-verifying.
 
-    E is generated by the states whose acceptance probability is exactly 1;
-    from such a state rejection is a null event, and conversely almost every
-    accepted run eventually enters an accepting bottom SCC, where the
-    probability is 1.  The symmetric difference is therefore null, meager by
-    the measure-category coincidence for regular languages, and is returned
-    as fprime unchanged (the tightest verifiable choice).
+    E is generated by the states that reach no rejecting bottom SCC.  A
+    full-support random run settles in some reachable bottom SCC and almost
+    surely visits all of it, so from such a state rejection is a null event;
+    conversely almost every accepted run enters an accepting bottom SCC,
+    whose states are among them.  The symmetric difference is therefore
+    null, meager by the measure-category coincidence for regular languages,
+    and is returned as fprime unchanged (the tightest verifiable choice).
+    Verification re-checks that fprime is meager and covers the difference.
 
-    For a meager input no state has probability 1, so E is empty and
-    fprime equals f itself.
+    For a meager input every bottom SCC rejects, so E is empty and fprime
+    equals f itself.
     """
-    probs = acceptance_probabilities(f)
-    finals = [q for q in range(f.n_states) if probs[q] == 1]
+    rejecting = {q for b in bsccs(f) if not f.accepts_set(b) for q in b}
+    doomed = _states_reaching(f, rejecting)
+    finals = [q for q in range(f.n_states) if q not in doomed]
     e = OpenSet.from_parts(f.alphabet, f.n_states, f.initial, f.transitions, finals)
-    fprime = symdiff(f, open_to_dma(e))
-    witness = ABPWitness(e, fprime)
-    if mu(fprime) != 0:
-        raise InvariantError("synthesized symmetric difference must be null")
+    witness = ABPWitness(e, symdiff(f, open_to_dma(e)))
     check = verify_abp_witness(f, witness)
     if not check:
         raise InvariantError(f"synthesized witness failed verification: {check.failed}")
@@ -148,9 +152,10 @@ def complement_witness(f: DMA, w: ABPWitness) -> ABPWitness:
 def finite_up_abp(xs: list[UPWord]) -> ABPWitness:
     """Witness for a finite set of ultimately periodic words, with E empty.
 
-    Each word misses some finite block as an infix; the union of the
-    corresponding avoid-the-block languages is a closed nowhere-dense
-    superset, so the finite set itself is meager with the trivial open part.
+    Each word misses some finite block as an infix, so it also misses the
+    concatenation of all the blocks; the words avoiding that concatenation
+    form a closed nowhere-dense superset, so the finite set itself is meager
+    with the trivial open part.
     """
     if not xs:
         raise ValueError("need at least one UP word")
@@ -158,12 +163,8 @@ def finite_up_abp(xs: list[UPWord]) -> ABPWitness:
     for x in xs:
         if x.alphabet != alphabet:
             raise ValueError("UP words must share one alphabet")
-    fprime: DMA | None = None
-    for x in xs:
-        block = avoid_infix_dma(alphabet, up_non_infix_witness(x))
-        fprime = block if fprime is None else union(fprime, block)
-    if fprime is None:
-        raise InvariantError("a non-empty word list must give a covering language")
+    word = "".join(up_non_infix_witness(x) for x in xs)
+    fprime = avoid_infix_dma(alphabet, word)
     for x in xs:
         if not up_membership(fprime, x):
             raise InvariantError(f"{x} must lie in the covering language")

@@ -9,8 +9,8 @@ required to agree, which the test suite checks aggressively.
 
 from __future__ import annotations
 
-from .automata import DMA, InvariantError, _live_states, avoid_infix_dma, contains
-from .measure import bsccs, mu
+from .automata import DMA, InvariantError, _live_states, avoid_infix_dma, bsccs, contains
+from .measure import mu
 
 
 def is_meager(a: DMA) -> bool:

@@ -219,21 +219,28 @@ def _cmd_abp_finite_up(args) -> int:
     return 0
 
 
+def _counter_word(word: str) -> str:
+    """The word, checked against the counter alphabet: ``counter_run`` reads
+    any other symbol as a dead end, not as an input error."""
+    return default_counter_spec().alphabet.check_word(word)
+
+
 def _cmd_v3_member(args) -> int:
-    print(_bool_text(counter_run(default_counter_spec(), args.word).status == IN_V))
+    status = counter_run(default_counter_spec(), _counter_word(args.word)).status
+    print(_bool_text(status == IN_V))
     return 0
 
 
 def _cmd_v3_prefix(args) -> int:
-    status = counter_run(default_counter_spec(), args.word).status
+    status = counter_run(default_counter_spec(), _counter_word(args.word)).status
     print(_bool_text(status == PROPER_PREFIX))
     return 0
 
 
 def _cmd_v3_root(args) -> int:
     iv = min_positive_root(args.k, args.precision)
-    print(str(iv))
-    print(f"~ {format_decimal(iv.midpoint(), args.digits)}")
+    # both lines are formatted first, so a bad --digits prints nothing
+    print(f"{iv}\n~ {format_decimal(iv.midpoint(), args.digits)}")
     return 0
 
 
@@ -252,7 +259,7 @@ def _cmd_v3_survival(args) -> int:
 
 
 def _cmd_v3_f2_witness(args) -> int:
-    print(f2_nowhere_dense_witness(default_counter_spec(), args.word))
+    print(f2_nowhere_dense_witness(default_counter_spec(), _counter_word(args.word)))
     return 0
 
 

@@ -11,13 +11,18 @@ are already known.  Each block is an integer matrix (the weights scaled by
 the lcm of their denominators) with a rational right-hand side, solved
 exactly by Bareiss's fraction-free elimination: integer arithmetic with one
 exact division per update, and one ``Fraction`` per unknown at the end.
+
+:func:`acceptance_probabilities` is the one Markov solve: ``mu`` reads it at
+the initial state, and an open set is measured through its Muller
+automaton.  Questions whose answer is only 0 or 1 need no solve; they are
+graph questions on the bottom SCCs (see ``category`` and ``baire``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .automata import (
     DMA,
@@ -26,10 +31,9 @@ from .automata import (
     _bfs_renumber,
     _bfs_word,
     _states_reaching,
-    nontrivial_sccs,
+    open_to_dma,
     strongly_connected_components,
 )
-from .conditions import evaluate
 from .words import Alphabet
 
 
@@ -146,27 +150,6 @@ def solve_linear_system(matrix: Sequence[Sequence[int | Fraction]],
     return [Fraction(x, det) for x in X]
 
 
-def _markov_values(n_states: int, rows: Sequence[Sequence[int]],
-                   wvec: tuple[Fraction, ...],
-                   bottom_value: Callable[[frozenset[int]], Fraction]
-                   ) -> list[Fraction]:
-    """Unique fixpoint of p = one-step average, anchored on bottom SCCs.
-
-    Components arrive in reverse topological order, so every state outside
-    the current component already has its value.
-    """
-    p: list[Fraction | None] = [None] * n_states
-    for comp in strongly_connected_components(rows, range(n_states)):
-        cset = frozenset(comp)
-        if all(t in cset for q in comp for t in rows[q]):
-            val = bottom_value(cset)
-            for q in comp:
-                p[q] = val
-        else:
-            _solve_block(comp, rows, wvec, p)
-    return p  # type: ignore[return-value]
-
-
 def _solve_block(comp: list[int], rows, wvec, p: list) -> None:
     """Solve ``D*p[q] - sum(D*w_s*p[t] for t inside) = sum(D*w_s*p[t] outside)``.
 
@@ -192,29 +175,27 @@ def _solve_block(comp: list[int], rows, wvec, p: list) -> None:
         p[q] = x[i]
 
 
-def bsccs(a: DMA) -> list[frozenset[int]]:
-    """Bottom strongly connected components of the (reachable) state graph,
-    least state first.
-
-    Every state is reachable by construction; a random full-support run ends
-    up inside one of these and almost surely visits all of it forever.  In a
-    complete automaton every state has a successor, so a bottom component
-    holds a cycle and is among the cached :func:`nontrivial_sccs`.
-    """
-    rows = a.transitions
-    return [C for C in nontrivial_sccs(a)
-            if all(t in C for q in C for t in rows[q])]
-
-
 def acceptance_probabilities(a: DMA, weights: dict[str, Fraction] | None = None
                              ) -> tuple[Fraction, ...]:
-    """Probability, per state, that a random continuation is accepted."""
+    """Probability, per state, that a random continuation is accepted.
+
+    The unique fixpoint of p = one-step average, anchored on the bottom
+    SCCs: 1 on those accepted whole, 0 on the rest.  Components arrive in
+    reverse topological order, so every state outside the current component
+    already has its value.
+    """
     wvec = check_weights(a.alphabet, weights)
-
-    def bottom(C: frozenset[int]) -> Fraction:
-        return Fraction(1) if evaluate(a.cond, C) else Fraction(0)
-
-    return tuple(_markov_values(a.n_states, a.transitions, wvec, bottom))
+    rows = a.transitions
+    p: list = [None] * a.n_states
+    for comp in strongly_connected_components(rows, range(a.n_states)):
+        cset = frozenset(comp)
+        if all(t in cset for q in comp for t in rows[q]):
+            val = Fraction(1) if a.accepts_set(cset) else Fraction(0)
+            for q in comp:
+                p[q] = val
+        else:
+            _solve_block(comp, rows, wvec, p)
+    return tuple(p)
 
 
 def mu(a: DMA, weights: dict[str, Fraction] | None = None) -> Fraction:
@@ -223,13 +204,9 @@ def mu(a: DMA, weights: dict[str, Fraction] | None = None) -> Fraction:
 
 
 def measure_open(e: OpenSet, weights: dict[str, Fraction] | None = None) -> Fraction:
-    """Measure of an open set: probability of ever entering a final state."""
-    wvec = check_weights(e.alphabet, weights)
-
-    def bottom(C: frozenset[int]) -> Fraction:
-        return Fraction(1) if C & e.finals else Fraction(0)
-
-    return _markov_values(e.n_states, e.transitions, wvec, bottom)[e.initial]
+    """Measure of an open set: the probability of ever entering a final
+    state, which is the measure of its Muller automaton."""
+    return mu(open_to_dma(e), weights)
 
 
 class PrefixFreeViolation(ValueError):

@@ -19,6 +19,7 @@ from omegabaire import (
     OpenSet,
     Interval,
     UPWord,
+    acceptance_probabilities,
     avoid_infix_dma,
     ball_open,
     complement,
@@ -199,6 +200,13 @@ def gauss_jordan_oracle(matrix: list[list[Fraction]], rhs: list[Fraction]
                 f = A[r][col]
                 A[r] = [v - f * w for v, w in zip(A[r], A[col])]
     return [A[i][m] for i in range(m)]
+
+
+def abp_finals_oracle(f: DMA) -> list[int]:
+    """The finals of a synthesized witness's E by the exact linear solve:
+    the states whose acceptance probability is exactly 1."""
+    probs = acceptance_probabilities(f)
+    return [q for q in range(f.n_states) if probs[q] == 1]
 
 
 def survival_sequence_oracle(spec: CounterLanguageSpec, n: int,

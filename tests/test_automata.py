@@ -297,25 +297,31 @@ def _query_results(a):
 
 
 def test_graph_of_each_automaton_analysed_once(monkeypatch):
-    calls, searches = [], []
-    positive_states, search_scc = automata._positive_states, automata._search_scc
-
-    def counting(a, cond):
-        calls.append((a, cond))
-        return positive_states(a, cond)
+    searches, reaching = [], []
+    search_scc, states_reaching = automata._search_scc, automata._states_reaching
 
     def counting_search(rows, cond, C):
         searches.append(cond)
         return search_scc(rows, cond, C)
 
+    def counting_reaching(d, targets):
+        reaching.append(d)
+        return states_reaching(d, targets)
+
     def own_searches(d):
         return sum(1 for cond in searches if cond is d.cond)
 
-    monkeypatch.setattr(automata, "_positive_states", counting)
     monkeypatch.setattr(automata, "_search_scc", counting_search)
+    monkeypatch.setattr(automata, "_states_reaching", counting_reaching)
     a = _difference_chain()
     n_sccs = len(automata.nontrivial_sccs(a))
     assert n_sccs > 1
+    # the interior reads the complement's live set: it searches every SCC
+    # under the complement's condition and none under ``a``'s
+    interior(a)
+    assert own_searches(a) == 0 and len(searches) == n_sccs
+    assert not any(d is a for d in reaching)
+    searches.clear()
     # the least SCC of ``a`` accepts, so the witness needs one search
     x = accepting_witness(a)
     assert up_membership(a, x) and own_searches(a) == 1
@@ -324,7 +330,8 @@ def test_graph_of_each_automaton_analysed_once(monkeypatch):
     assert not is_dense(a)
     closure(a)
     assert not is_nowhere_dense(a)
-    assert sum(1 for b, cond in calls if b is a and cond is a.cond) == 1
+    # the live set of ``a`` is computed once
+    assert sum(1 for d in reaching if d is a) == 1
     assert own_searches(a) == n_sccs
     # density and nowhere density read the cached live set and search nothing
     searched = len(searches)

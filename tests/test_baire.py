@@ -8,6 +8,7 @@ import pytest
 
 from omegabaire import (
     ABPWitness,
+    avoid_infix_dma,
     complement,
     complement_witness,
     contains,
@@ -31,8 +32,10 @@ from omegabaire import (
     union,
     union_witness,
     up_membership,
+    up_non_infix_witness,
     verify_abp_witness,
 )
+from omegabaire import measure
 
 from helpers import (
     AB,
@@ -245,11 +248,29 @@ def test_finite_up_random_sets():
             assert up_membership(w.fprime, x)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_finite_up_cover_avoids_one_concatenated_word(k):
+    xs = [parse_up(AB, t) for t in ("(a)^w", "(b)^w", "(ab)^w", "b(aab)^w")[:k]]
+    word = "".join(up_non_infix_witness(x) for x in xs)
+    w = finite_up_abp(xs)
+    assert w.fprime.n_states <= len(word) + 1
+    assert equivalent(w.fprime, avoid_infix_dma(AB, word))
+
+
 def test_finite_up_rejects_bad_input():
     with pytest.raises(ValueError):
         finite_up_abp([])
     with pytest.raises(ValueError):
         finite_up_abp([parse_up(AB, "(a)^w"), parse_up(ABC, "(c)^w")])
+
+
+def test_synthesis_runs_no_linear_solve(monkeypatch):
+    def refuse(matrix, rhs):
+        raise AssertionError("witness synthesis must not solve a linear system")
+
+    monkeypatch.setattr(measure, "solve_linear_system", refuse)
+    f = dma_transient_cycle()
+    assert verify_abp_witness(f, synthesize_abp_witness(f))
 
 
 def test_synth_large_transient_scc():

@@ -218,6 +218,14 @@ def test_v3_member_prefix(capsys):
     assert (code, out) == (0, "false\n")
 
 
+@pytest.mark.parametrize("command, word", [
+    ("member", "abz"), ("prefix", "abz"), ("f2-witness", "c"),
+])
+def test_v3_counter_words_must_be_over_ab(capsys, command, word):
+    code, out, err = run(capsys, "v3", command, word)
+    assert (code, out) == (2, "") and f"symbol {word[-1]!r} not in alphabet" in err
+
+
 def test_v3_root_decimal_rendering(capsys):
     code, out, _ = run(capsys, "v3", "root", "-k", "2",
                        "--precision", "40", "--digits", "10")
@@ -225,6 +233,9 @@ def test_v3_root_decimal_rendering(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("[") and lines[0].endswith("]")
     assert lines[1] == "~ 0.6180339887"
+    # a bad digit count is refused before the interval line is printed
+    code, out, err = run(capsys, "v3", "root", "-k", "3", "--digits", "-1")
+    assert (code, out) == (2, "") and "digit count must be >= 0" in err
 
 
 def test_v3_irrational(capsys):

@@ -1,6 +1,8 @@
-"""No module in ``src/``, ``tests/`` or ``demos/`` imports a name it never uses."""
+"""No module in ``src/``, ``tests/`` or ``demos/`` imports a name it never
+uses, and the package imports nothing outside the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +61,19 @@ def test_no_unused_import(path):
     used = _used(tree)
     unused = sorted((line, name) for name, line in _imported(tree).items() if name not in used)
     assert not unused, f"unused imports: {unused}"
+
+
+@pytest.mark.parametrize("path", [p for p in FILES if p.parts[-2] == "omegabaire"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_imports_only_the_standard_library(path):
+    outside = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        outside += [(node.lineno, m) for m in modules
+                    if m.split(".")[0] not in sys.stdlib_module_names]
+    assert not outside, f"imports outside the standard library: {outside}"

@@ -19,7 +19,9 @@ from omegabaire import (  # noqa: E402
     is_meager,
     is_meager_via_measure,
     is_nowhere_dense,
+    mu,
     pref_dfa,
+    synthesize_abp_witness,
     union,
     up_membership,
 )
@@ -31,7 +33,13 @@ from omegabaire.automata import (  # noqa: E402
 )
 from omegabaire.conditions import family_atom  # noqa: E402
 
-from helpers import AB, ABC, f1_ball_kind_oracle, realizable_sets_oracle  # noqa: E402
+from helpers import (  # noqa: E402
+    AB,
+    ABC,
+    abp_finals_oracle,
+    f1_ball_kind_oracle,
+    realizable_sets_oracle,
+)
 
 
 def _reach(rows, q) -> frozenset[int]:
@@ -81,6 +89,19 @@ def test_graph_meagerness_matches_measure(a):
     # the complement reuses the SCCs cached on ``a`` by the first call
     for d in (a, complement(a)):
         assert is_meager(d) == is_meager_via_measure(d)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(block_dmas())
+def test_synthesized_finals_match_the_exact_solve(a):
+    # the graph pass keeps exactly the states of acceptance probability 1,
+    # so the symmetric difference it leaves is null
+    for f in (a, complement(a)):
+        w = synthesize_abp_witness(f)
+        e = OpenSet.from_parts(f.alphabet, f.n_states, f.initial, f.transitions,
+                               abp_finals_oracle(f))
+        assert (w.e.transitions, w.e.finals) == (e.transitions, e.finals)
+        assert mu(w.fprime) == 0
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
