@@ -8,9 +8,15 @@ satisfies a linear system: 0 or 1 on bottom components, and the one-step
 average elsewhere.  The system is solved one condensation block at a time
 in reverse topological order, so the values a block depends on outside it
 are already known.  Each block is an integer matrix (the weights scaled by
-the lcm of their denominators) with a rational right-hand side, solved
-exactly by Bareiss's fraction-free elimination: integer arithmetic with one
-exact division per update, and one ``Fraction`` per unknown at the end.
+the lcm of their denominators) with a rational right-hand side, and each
+of its rows has at most |alphabet| + 1 nonzeros.  It is solved exactly by
+sparse integer elimination: pivots in Markowitz order (the shortest row,
+then its least-used column), each updated row divided by the gcd of its
+entries, and back-substitution over one common denominator, so a
+``Fraction`` is built once per unknown at the end.  Fill-in is not bounded
+in the worst case, where the cost approaches that of dense elimination; on
+random transient blocks it stays at a few entries per row, and a block of
+800 states solves in well under a second.
 
 :func:`acceptance_probabilities` is the one Markov solve: ``mu`` reads it at
 the initial state, and an open set is measured through its Muller
@@ -21,7 +27,9 @@ graph questions on the bottom SCCs (see ``category`` and ``baire``).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from heapq import heapify, heappop, heappush
+from itertools import compress, count
+from math import gcd, lcm
 from typing import Sequence
 
 from .automata import (
@@ -105,49 +113,98 @@ def parse_measure_spec(text: str, alphabet: Alphabet) -> dict[str, Fraction]:
 
 def solve_linear_system(matrix: Sequence[Sequence[int | Fraction]],
                         rhs: Sequence[int | Fraction]) -> list[Fraction]:
-    """Exact solution of ``matrix . x = rhs`` by fraction-free elimination.
+    """Exact solution of ``matrix . x = rhs`` by sparse integer elimination.
 
     Entries may be ``int`` or ``Fraction``.  Each augmented row is scaled by
-    the lcm of its denominators, so elimination runs on integers only.
-    Bareiss's update ``(p*a - c*b) // prev`` divides exactly by the previous
-    pivot, which keeps every entry a minor of the scaled matrix rather than
-    a product of all pivots (Bareiss 1968).  A zero pivot is swapped for the
-    next row below it with a nonzero entry in its column.  With ``det`` the
-    last pivot, back-substitution finds the integer Cramer numerators
-    ``X[i] = det * x[i]`` with one exact division per row, and each result
-    is ``Fraction(X[i], det)``.  Raises ``ValueError`` on a singular matrix.
+    the lcm of its denominators and kept as a dict of its nonzero integer
+    entries, with a column index to the rows that hold each column.
+    - Pivot order, Markowitz's rule simplified (Markowitz 1957): the
+      remaining row with the fewest nonzeros, then the column of that row
+      that occurs in the fewest remaining rows, lower index first in both.
+      The order depends on the input only.  A row left with no nonzero
+      means a singular matrix, and raises ``ValueError``.
+    - Elimination: every other row ``r`` holding the pivot column ``c``
+      becomes ``p*r - r[c]*pivot_row``, with ``p`` the pivot, and is then
+      divided, right-hand side included, by the gcd of its entries.
+      Without that content removal the integers grow in length with every
+      update of a row, and a 205-state Markov block runs past 100 s.
+    - Back-substitution runs in reverse pivot order over one common
+      integer denominator, and the results become ``Fraction`` only at
+      the end.
+    On random transient Markov blocks the fill-in stays at a few entries
+    per row.  It is not bounded in the worst case, where the cost is that
+    of dense elimination with dict overhead.
     """
     m = len(rhs)
-    A = []
-    for row, b in zip(matrix, rhs):
-        aug = [*row, b]
-        scale = lcm(*(v.denominator for v in aug))
-        A.append([v.numerator * (scale // v.denominator) for v in aug])
-    prev = 1
-    for k in range(m):
-        if A[k][k] == 0:
-            swap = next((r for r in range(k + 1, m) if A[r][k]), None)
-            if swap is None:
-                raise ValueError("singular linear system")
-            A[k], A[swap] = A[swap], A[k]
-        pivot_row = A[k]
-        p = pivot_row[k]
-        for i in range(k + 1, m):
-            row = A[i]
-            c = row[k]
-            if c:
-                row[k:] = [0] + [(p * a - c * b) // prev
-                                 for a, b in zip(row[k + 1:], pivot_row[k + 1:])]
-            else:
-                row[k + 1:] = [p * a // prev for a in row[k + 1:]]
-        prev = p
-    det = prev
+    rows: list[dict[int, int]] = []
+    b: list[int] = []
+    cols: list[set[int]] = [set() for _ in range(m)]
+    for i, (row, r) in enumerate(zip(matrix, rhs)):
+        nz = list(compress(count(), row))
+        aug = [row[j] for j in nz] + [r]
+        scale = lcm(*[v.denominator for v in aug])
+        ints = [v.numerator * (scale // v.denominator) for v in aug]
+        rows.append(dict(zip(nz, ints)))
+        b.append(ints[-1])
+        for j in nz:
+            cols[j].add(i)
+    heap = [(len(row), i) for i, row in enumerate(rows)]
+    heapify(heap)
+    done = [False] * m
+    pivots: list[tuple[int, int, int]] = []
+    while heap:
+        n, i = heappop(heap)
+        row = rows[i]
+        if done[i] or n != len(row):
+            continue
+        if not row:
+            raise ValueError("singular linear system")
+        done[i] = True
+        for j in row:
+            cols[j].discard(i)
+        c = min([(len(cols[j]), j) for j in row])[1]
+        p, bp = row.pop(c), b[i]
+        pivots.append((i, c, p))
+        rest = row.items()
+        for k in cols[c]:
+            rk = rows[k]
+            f = rk.pop(c)
+            if p != 1:
+                for j in rk:
+                    rk[j] *= p
+            for j, v in rest:
+                if j in rk:
+                    x = rk[j] - f * v
+                    if x:
+                        rk[j] = x
+                    else:
+                        del rk[j]
+                        cols[j].discard(k)
+                else:
+                    rk[j] = -f * v
+                    cols[j].add(k)
+            bk = p * b[k] - f * bp
+            g = gcd(bk, *rk.values())
+            if g > 1:
+                for j in rk:
+                    rk[j] //= g
+                bk //= g
+            b[k] = bk
+            heappush(heap, (len(rk), k))
+        cols[c].clear()
+    # the rest of a pivot row holds only columns pivoted after its own, and
+    # x[j] == X[j] / den for every column solved so far
+    den = 1
     X = [0] * m
-    for i in range(m - 1, -1, -1):
-        row = A[i]
-        s = det * row[m] - sum(row[j] * X[j] for j in range(i + 1, m))
-        X[i] = s // row[i]
-    return [Fraction(x, det) for x in X]
+    for i, c, a in reversed(pivots):
+        s = b[i] * den - sum(v * X[j] for j, v in rows[i].items())
+        g = gcd(s, a)
+        s, a = s // g, a // g
+        if a != 1:
+            den *= a
+            X = [x * a for x in X]
+        X[c] = s
+    return [Fraction(x, den) for x in X]
 
 
 def _solve_block(comp: list[int], rows, wvec, p: list) -> None:

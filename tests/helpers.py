@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from typing import Sequence
 
 from omegabaire import (
     DMA,
@@ -200,6 +202,54 @@ def gauss_jordan_oracle(matrix: list[list[Fraction]], rhs: list[Fraction]
                 f = A[r][col]
                 A[r] = [v - f * w for v, w in zip(A[r], A[col])]
     return [A[i][m] for i in range(m)]
+
+
+def bareiss_oracle(matrix: Sequence[Sequence[int | Fraction]],
+                   rhs: Sequence[int | Fraction]) -> list[Fraction]:
+    """Exact solution of ``matrix . x = rhs`` by fraction-free elimination:
+    the library's dense solver before sparse elimination replaced it.
+
+    Entries may be ``int`` or ``Fraction``.  Each augmented row is scaled by
+    the lcm of its denominators, so elimination runs on integers only.
+    Bareiss's update ``(p*a - c*b) // prev`` divides exactly by the previous
+    pivot, which keeps every entry a minor of the scaled matrix rather than
+    a product of all pivots (Bareiss 1968).  A zero pivot is swapped for the
+    next row below it with a nonzero entry in its column.  With ``det`` the
+    last pivot, back-substitution finds the integer Cramer numerators
+    ``X[i] = det * x[i]`` with one exact division per row, and each result
+    is ``Fraction(X[i], det)``.  Raises ``ValueError`` on a singular matrix.
+    """
+    m = len(rhs)
+    A = []
+    for row, b in zip(matrix, rhs):
+        aug = [*row, b]
+        scale = lcm(*(v.denominator for v in aug))
+        A.append([v.numerator * (scale // v.denominator) for v in aug])
+    prev = 1
+    for k in range(m):
+        if A[k][k] == 0:
+            swap = next((r for r in range(k + 1, m) if A[r][k]), None)
+            if swap is None:
+                raise ValueError("singular linear system")
+            A[k], A[swap] = A[swap], A[k]
+        pivot_row = A[k]
+        p = pivot_row[k]
+        for i in range(k + 1, m):
+            row = A[i]
+            c = row[k]
+            if c:
+                row[k:] = [0] + [(p * a - c * b) // prev
+                                 for a, b in zip(row[k + 1:], pivot_row[k + 1:])]
+            else:
+                row[k + 1:] = [p * a // prev for a in row[k + 1:]]
+        prev = p
+    det = prev
+    X = [0] * m
+    for i in range(m - 1, -1, -1):
+        row = A[i]
+        s = det * row[m] - sum(row[j] * X[j] for j in range(i + 1, m))
+        X[i] = s // row[i]
+    return [Fraction(x, det) for x in X]
 
 
 def abp_finals_oracle(f: DMA) -> list[int]:

@@ -33,6 +33,7 @@ from omegabaire.measure import solve_linear_system
 from helpers import (
     AB,
     ABC,
+    bareiss_oracle,
     dma_ball_a,
     dma_inf_a,
     dma_survival_dp,
@@ -315,18 +316,20 @@ def test_sigma_weighted():
 # cross-checks at realistic sizes
 
 
-@pytest.mark.parametrize("weights", [
+WEIGHTINGS = pytest.mark.parametrize("weights", [
     None,
     {"a": Fraction(2, 7), "b": Fraction(5, 7)},
 ], ids=["uniform", "skewed"])
-def test_probabilities_satisfy_fixpoint_at_200_states(weights):
-    a = dma_transient_scc(random.Random(73), 200)
+
+
+def _check_fixpoint(n: int, weights) -> None:
+    a = dma_transient_scc(random.Random(73), n)
     p = acceptance_probabilities(a, weights)
     w = uniform_weights(AB) if weights is None else weights
     wvec = [w[s] for s in a.alphabet.symbols]
     bottoms = bsccs(a)
     on_bottom = set().union(*bottoms)
-    assert a.n_states - len(on_bottom) == 200
+    assert a.n_states - len(on_bottom) == n
     for C in bottoms:
         assert all(p[q] == (1 if a.accepts_set(C) else 0) for q in C)
     for q in range(a.n_states):
@@ -334,6 +337,18 @@ def test_probabilities_satisfy_fixpoint_at_200_states(weights):
         if q not in on_bottom:
             assert 0 < p[q] < 1
             assert p[q] == sum(x * p[t] for x, t in zip(wvec, a.transitions[q]))
+
+
+@WEIGHTINGS
+def test_probabilities_satisfy_fixpoint_at_200_states(weights):
+    _check_fixpoint(200, weights)
+
+
+@WEIGHTINGS
+def test_probabilities_satisfy_fixpoint_at_800_states(weights):
+    # an 800-state block: elimination that skipped removing each row's
+    # content would run for minutes here
+    _check_fixpoint(800, weights)
 
 
 def _accept_sink_views(a: DMA):
@@ -349,9 +364,11 @@ def _accept_sink_views(a: DMA):
     return e, Dfa(a.alphabet, a.n_states, a.initial, rows, finals)
 
 
-@pytest.mark.parametrize("n,alphabet", [(12, AB), (25, ABC), (40, AB)],
-                         ids=["12-ab", "25-abc", "40-ab"])
-def test_measures_match_oracle_solver(monkeypatch, n, alphabet):
+@pytest.mark.parametrize("n,alphabet,oracle_solve", [
+    (12, AB, _oracle_solve), (25, ABC, _oracle_solve), (40, AB, _oracle_solve),
+    (205, AB, bareiss_oracle),
+], ids=["12-ab", "25-abc", "40-ab", "205-ab"])
+def test_measures_match_oracle_solver(monkeypatch, n, alphabet, oracle_solve):
     rng = random.Random(74 + n)
     a = dma_transient_scc(rng, n, alphabet)
     e, d = _accept_sink_views(a)
@@ -362,7 +379,7 @@ def test_measures_match_oracle_solver(monkeypatch, n, alphabet):
 
     def oracle(matrix, rhs):
         sizes.append(len(rhs))
-        return _oracle_solve(matrix, rhs)
+        return oracle_solve(matrix, rhs)
 
     monkeypatch.setattr(measure, "solve_linear_system", oracle)
     expected = [(f(x), f(x, w)) for f, x in ((mu, a), (measure_open, e),

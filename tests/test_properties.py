@@ -1,5 +1,9 @@
 """Property tests that cross-check independent implementations at realistic sizes."""
 
+import random
+from fractions import Fraction
+from unittest.mock import patch
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -8,6 +12,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from omegabaire import (  # noqa: E402
     DMA,
     OpenSet,
+    acceptance_probabilities,
     avoid_infix_dma,
     avoided_infix,
     closure,
@@ -31,12 +36,14 @@ from omegabaire.automata import (  # noqa: E402
     _realizable_sets,
     nontrivial_sccs,
 )
+from omegabaire import measure  # noqa: E402
 from omegabaire.conditions import family_atom  # noqa: E402
 
 from helpers import (  # noqa: E402
     AB,
     ABC,
     abp_finals_oracle,
+    bareiss_oracle,
     f1_ball_kind_oracle,
     realizable_sets_oracle,
 )
@@ -152,6 +159,67 @@ def test_lasso_witness_visits_exactly_its_set(a):
         only = DMA(a.alphabet, a.n_states, a.initial, a.transitions,
                    family_atom(a.n_states, (C,)), (C,))
         assert up_membership(only, x) and not up_membership(other, x)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(block_dmas())
+def test_probabilities_match_the_bareiss_oracle(a):
+    for d in (a, complement(a)):
+        got = acceptance_probabilities(d)
+        with patch.object(measure, "solve_linear_system", bareiss_oracle):
+            assert acceptance_probabilities(d) == got
+
+
+@st.composite
+def sparse_systems(draw):
+    """Square systems of 20-60 unknowns with a few nonzeros per row.
+
+    Hypothesis draws the shape and a seed, and the seed draws the entries:
+    ``int`` or ``Fraction``, nonzero in column ``perm[i]`` of row ``i`` for
+    a random permutation, plus up to three more per row.  Then a drawn
+    number of rows lose their diagonal entry, which may be that nonzero,
+    and up to two rows become combinations of two other rows, which makes
+    the system singular unless those two were already dependent.
+    """
+    m = draw(st.integers(20, 60))
+    zeroed = draw(st.integers(0, m))
+    combined = draw(st.sampled_from((0, 0, 0, 1, 2)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def entry():
+        if rng.random() < 0.5:
+            return rng.choice([-1, 1]) * rng.randint(1, 9)
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 12))
+
+    perm = rng.sample(range(m), m)
+    A = [[0] * m for _ in range(m)]
+    for i in range(m):
+        A[i][perm[i]] = entry()
+        for _ in range(rng.randint(0, 3)):
+            A[i][rng.randrange(m)] = entry()
+    for i in rng.sample(range(m), zeroed):
+        A[i][i] = 0
+    for _ in range(combined):
+        i, j, k = rng.sample(range(m), 3)
+        x, y = entry(), rng.randint(-3, 3)
+        A[k] = [x * u + y * v for u, v in zip(A[i], A[j])]
+    b = [entry() if rng.random() < 0.8 else 0 for _ in range(m)]
+    return A, b
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sparse_systems())
+def test_sparse_solver_matches_the_bareiss_oracle(system):
+    A, b = system
+    try:
+        expected = bareiss_oracle(A, b)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            measure.solve_linear_system(A, b)
+        return
+    got = measure.solve_linear_system(A, b)
+    assert got == expected
+    assert all(type(v) is Fraction for v in got)
 
 
 @st.composite
