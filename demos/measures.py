@@ -10,13 +10,13 @@ from fractions import Fraction
 from omegabaire import (
     Alphabet,
     DMA,
-    Dfa,
+    OpenSet,
     acceptance_probabilities,
     complement,
     format_decimal,
     intersection,
+    measure_open,
     mu,
-    sigma_prefix_free,
     union,
 )
 
@@ -53,11 +53,11 @@ print("'finitely many b' has measure", mu(fin_b),
       "- probabilities per state:", acceptance_probabilities(fin_b))
 
 print()
-print("== Prefix-free word sets ==")
-# the words {a, ba}: disjoint cylinders, sigma = 1/2 + 1/4
-trie = Dfa(ab, 4, 0, ((1, 2), (3, 3), (1, 3), (3, 3)), frozenset({1}))
-print("sigma({a, ba}) =", sigma_prefix_free(trie))
-# all words a^k b: the geometric series sums to 1 exactly
-aab = Dfa(ab, 3, 0, ((0, 1), (2, 2), (2, 2)), frozenset({1}))
-s = sigma_prefix_free(aab)
-print("sigma(a* b)    =", s, f"(~ {format_decimal(s, 4)})")
+print("== Open sets of word sets ==")
+# the balls of {a, ba} are disjoint: 1/2 + 1/4
+a_ba = OpenSet.from_parts(ab, 4, 0, [[1, 2], [3, 3], [1, 3], [3, 3]], [1])
+print("mu({a, ba}.X^w) =", measure_open(a_ba))
+# the balls of all words a^k b: the geometric series sums to 1 exactly
+aab = OpenSet.from_parts(ab, 3, 0, [[0, 1], [2, 2], [2, 2]], [1])
+s = measure_open(aab)
+print("mu(a* b.X^w)    =", s, f"(~ {format_decimal(s, 4)})")

@@ -8,7 +8,7 @@ re-verifies the pair with independent decision procedures.
 from omegabaire import (
     Alphabet,
     DMA,
-    complement_witness,
+    complement,
     finite_up_abp,
     is_empty,
     is_meager,
@@ -18,7 +18,6 @@ from omegabaire import (
     symdiff,
     synthesize_abp_witness,
     union,
-    union_witness,
     up_membership,
     verify_abp_witness,
 )
@@ -45,15 +44,16 @@ delta = symdiff(inf_a, open_to_dma(w.e))
 print("F delta E meager:", is_meager(delta), " mu:", mu(delta))
 
 print()
-print("== Composition ==")
+print("== Unions and complements ==")
 ball = DMA.from_parts(ab, 3, 0, [[1, 2], [1, 1], [2, 2]], [{1}])
-wb = synthesize_abp_witness(ball)
-u = union_witness(inf_a, w, ball, wb)
-print("union witness verifies:  ",
-      bool(verify_abp_witness(union(inf_a, ball), u)))
-c = complement_witness(ball, wb)
-print("complement witness for the clopen ball: E_c = b.X^w, error empty:",
-      is_empty(c.fprime))
+either = union(inf_a, ball)
+u = synthesize_abp_witness(either)
+print("witness of the union verifies:", bool(verify_abp_witness(either, u)))
+not_ball = complement(ball)
+c = synthesize_abp_witness(not_ball)
+print("witness of the complement of the clopen ball verifies:",
+      bool(verify_abp_witness(not_ball, c)))
+print("  E_c = b.X^w, error empty:", is_empty(c.fprime))
 
 print()
 print("== Finite sets of ultimately periodic words ==")

@@ -19,13 +19,14 @@ materialization, and the bottom components behind measure, category and
 witness synthesis.
 It runs directly on the subgraph induced on a region of states.  Each
 :class:`DMA` computes its nontrivial SCCs, the accepting set of each SCC
-under its own condition and its live states at most once and caches them; a
-complement shares its operand's SCCs, since the transitions are the same,
-but searches them afresh.  Every search runs under an automaton's own
-condition: the states from which some word is rejected, behind the
-interior, are the live states of the complement.  A witness's period is
-built from two breadth-first trees inside its accepting set, in time linear
-in the set and the period.
+under its own condition and its live states at most once and caches them.
+An automaton builds its complement once and keeps it: ``complement`` is an
+involution on objects, and the two share their SCCs, since the transitions
+are the same, while each searches them under its own condition.  The
+states from which some word is rejected, behind the interior, are the live
+states of the complement, so repeated interiors search nothing.  A
+witness's period is built from two breadth-first trees inside its
+accepting set, in time linear in the set and the period.
 
 State ids are always normalized to breadth-first shortlex order from the
 initial state (which therefore is state 0), and unreachable states are
@@ -319,11 +320,12 @@ class DMA:
     builds itself.  Instances are treated as immutable, so each one caches
     what it learns about its graph: the explicit family, the nontrivial SCCs
     (which depend only on the transitions), the accepting set found in each
-    of them so far and the live states (which depend on the condition too).
+    of them so far and the live states (which depend on the condition too),
+    and its complement, once built.
     """
 
     __slots__ = ("alphabet", "n_states", "initial", "transitions", "cond",
-                 "_family", "_sccs", "_accepting", "_live")
+                 "_family", "_sccs", "_accepting", "_live", "_complement")
 
     def __init__(self, alphabet: Alphabet, n_states: int, initial: int,
                  transitions: tuple[tuple[int, ...], ...], cond: Cond,
@@ -341,6 +343,7 @@ class DMA:
         # has needed.
         self._accepting: list[tuple[int, ...] | None] | None = None
         self._live: tuple[int, ...] | None = None
+        self._complement: DMA | None = None
 
     @classmethod
     def from_parts(cls, alphabet: Alphabet, n_states: int, initial: int,
@@ -415,11 +418,13 @@ class DMA:
 def nontrivial_sccs(a: DMA) -> list[frozenset[int]]:
     """The SCCs of ``a`` that hold a cycle, least state first.
 
-    Computed once per automaton and cached on it.
+    Computed once per automaton and its complement, and cached on both.
     """
     if a._sccs is None:
         a._sccs = tuple(tuple(sorted(C)) for C in
                         _induced_sccs(a.transitions, range(a.n_states)))
+        if a._complement is not None:
+            a._complement._sccs = a._sccs
     return [frozenset(C) for C in a._sccs]
 
 
@@ -485,21 +490,13 @@ def _normalize_derived(alphabet: Alphabet, initial: int, rows, cond: Cond) -> DM
     return DMA(alphabet, len(new_rows), 0, new_rows, remap(cond, list(renum), {}))
 
 
-def boolean_combine(a: DMA, b: DMA | None, mode: str) -> DMA:
-    """Boolean algebra on languages: union, intersection, complement, symdiff.
+def boolean_combine(a: DMA, b: DMA, mode: str) -> DMA:
+    """Binary boolean algebra on languages: union, intersection, symdiff.
 
-    Binary modes run on the reachable product automaton with the acceptance
-    condition obtained from both factors' conditions by projection of the
-    infinitely-visited set; complement negates the condition in place.
+    Runs on the reachable product automaton with the acceptance condition
+    obtained from both factors' conditions by projection of the
+    infinitely-visited set.
     """
-    if mode == "complement":
-        if b is not None:
-            raise ValueError("complement takes a single automaton")
-        c = DMA(a.alphabet, a.n_states, a.initial, a.transitions, c_not(a.cond))
-        c._sccs = a._sccs
-        return c
-    if b is None:
-        raise ValueError(f"mode {mode!r} needs two automata")
     if a.alphabet != b.alphabet:
         raise ValueError("alphabet mismatch")
     order, rows = _reachable_product(a, b)
@@ -526,7 +523,19 @@ def intersection(a: DMA, b: DMA) -> DMA:
 
 
 def complement(a: DMA) -> DMA:
-    return boolean_combine(a, None, "complement")
+    """The complement language: the same transitions under the negated
+    condition.
+
+    Built once per automaton and kept on it, with ``a`` kept on the result,
+    so ``complement(complement(a)) is a`` and each polarity's searches are
+    cached on one object.
+    """
+    if a._complement is None:
+        c = DMA(a.alphabet, a.n_states, a.initial, a.transitions, c_not(a.cond))
+        c._sccs = a._sccs
+        c._complement = a
+        a._complement = c
+    return a._complement
 
 
 def symdiff(a: DMA, b: DMA) -> DMA:
@@ -819,13 +828,6 @@ def _live_states(a: DMA) -> tuple[int, ...]:
     return a._live
 
 
-def _doomed_states(a: DMA) -> set[int]:
-    """States from which some omega-word is rejected: the live states of the
-    complement, which shares ``a``'s SCCs once they are computed."""
-    nontrivial_sccs(a)
-    return set(_live_states(complement(a)))
-
-
 def _live_restriction(a: DMA) -> tuple[list[tuple[int, ...]], int, int | None] | None:
     """Transitions among the live states, or None if the initial state is dead.
 
@@ -862,9 +864,10 @@ def closure(a: DMA) -> DMA:
 def interior(a: DMA) -> OpenSet:
     """Topological interior, as an open set.
 
-    A state is marked final iff every omega-word read from it is accepted.
+    A state is marked final iff every omega-word read from it is accepted,
+    that is, iff it is not live in the complement.
     """
-    doomed = _doomed_states(a)
+    doomed = set(_live_states(complement(a)))
     full = [q for q in range(a.n_states) if q not in doomed]
     return OpenSet.from_parts(a.alphabet, a.n_states, a.initial, a.transitions, full)
 

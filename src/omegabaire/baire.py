@@ -10,8 +10,8 @@ precomputation of probabilistic model checking, Baier & Katoen 2008,
 section 10.1), and takes E as the words that ever reach such a state.  The
 symmetric difference is then a null set, hence meager.
 
-Constructions never trust themselves: synthesis and the union/complement
-composition steps all re-verify their output before returning it.
+Constructions never trust themselves: synthesis re-verifies its output
+before returning it.
 """
 
 from __future__ import annotations
@@ -25,18 +25,13 @@ from .automata import (
     _states_reaching,
     avoid_infix_dma,
     bsccs,
-    complement,
     containment_counterexample,
     empty_open,
-    interior,
-    intersection,
     open_to_dma,
-    open_union,
     symdiff,
-    union,
     up_membership,
 )
-from .category import is_meager, is_nowhere_dense
+from .category import is_meager
 from .words import UPWord, up_non_infix_witness
 
 
@@ -102,51 +97,6 @@ def synthesize_abp_witness(f: DMA) -> ABPWitness:
     if not check:
         raise InvariantError(f"synthesized witness failed verification: {check.failed}")
     return witness
-
-
-def union_witness(f1: DMA, w1: ABPWitness, f2: DMA, w2: ABPWitness) -> ABPWitness:
-    """Witness for union(f1, f2) from witnesses of the parts.
-
-    Uses (F1 u F2) delta (E1 u E2)  being a subset of
-    (F1 delta E1) u (F2 delta E2): the union of the open parts stays open,
-    the union of the meager parts stays meager.
-    """
-    if not verify_abp_witness(f1, w1):
-        raise ValueError("first witness does not verify against its language")
-    if not verify_abp_witness(f2, w2):
-        raise ValueError("second witness does not verify against its language")
-    e = open_union(w1.e, w2.e)
-    fprime = union(w1.fprime, w2.fprime)
-    result = ABPWitness(e, fprime)
-    check = verify_abp_witness(union(f1, f2), result)
-    if not check:
-        raise InvariantError(f"union witness failed verification: {check.failed}")
-    return result
-
-
-def complement_witness(f: DMA, w: ABPWitness) -> ABPWitness:
-    """Witness for complement(f) from a witness of ``f``.
-
-    The complement of E is closed, not open, so it cannot serve directly;
-    instead take its interior and push the leftover boundary (a closed set
-    with empty interior, hence nowhere dense) into the meager part:
-
-        (not F) delta int(not E)  is a subset of  (F delta E) u boundary.
-    """
-    if not verify_abp_witness(f, w):
-        raise ValueError("witness does not verify against its language")
-    e_dma = open_to_dma(w.e)
-    not_e = complement(e_dma)
-    ec = interior(not_e)
-    boundary = intersection(not_e, complement(open_to_dma(ec)))
-    if not is_nowhere_dense(boundary):
-        raise InvariantError("boundary of a closed set must be nowhere dense")
-    fprime = union(w.fprime, boundary)
-    result = ABPWitness(ec, fprime)
-    check = verify_abp_witness(complement(f), result)
-    if not check:
-        raise InvariantError(f"complement witness failed verification: {check.failed}")
-    return result
 
 
 def finite_up_abp(xs: list[UPWord]) -> ABPWitness:

@@ -27,6 +27,7 @@ from .automata import (
     accepting_witness,
     boolean_combine,
     closure,
+    complement,
     contains,
     interior,
     up_membership,
@@ -160,9 +161,11 @@ def _cmd_interior(args) -> int:
 
 
 def _cmd_boolean(args) -> int:
+    unary = args.mode == "complement"
+    if unary != (args.b is None):
+        raise ValueError(f"{args.mode} takes {'one automaton' if unary else 'two automata'}")
     a, _ = _read_dma(args.a)
-    b = None if args.b is None else _read_dma(args.b)[0]
-    result = boolean_combine(a, b, args.mode)
+    result = complement(a) if unary else boolean_combine(a, _read_dma(args.b)[0], args.mode)
     sys.stdout.write(serialize_oaf(from_dma(result)))
     return 0
 

@@ -34,11 +34,7 @@ from typing import Sequence
 
 from .automata import (
     DMA,
-    Dfa,
     OpenSet,
-    _bfs_renumber,
-    _bfs_word,
-    _states_reaching,
     open_to_dma,
     strongly_connected_components,
 )
@@ -264,38 +260,3 @@ def measure_open(e: OpenSet, weights: dict[str, Fraction] | None = None) -> Frac
     """Measure of an open set: the probability of ever entering a final
     state, which is the measure of its Muller automaton."""
     return mu(open_to_dma(e), weights)
-
-
-class PrefixFreeViolation(ValueError):
-    """The DFA accepts a word and a strict extension of it."""
-
-    def __init__(self, shorter: str, longer: str):
-        super().__init__(
-            f"language is not prefix-free: accepts both {shorter!r} and {longer!r}"
-        )
-        self.shorter = shorter
-        self.longer = longer
-
-
-def sigma_prefix_free(d: Dfa, weights: dict[str, Fraction] | None = None
-                      ) -> Fraction:
-    """Total ball measure of a prefix-free finite-word language.
-
-    For prefix-free W the balls ``w . X^omega`` are pairwise disjoint, so
-    their total measure is the probability that a random omega-word has a
-    prefix in W: an absorption probability into the final states.  Raises
-    :class:`PrefixFreeViolation` (with a witness pair) otherwise.
-    """
-    renum, _ = _bfs_renumber(d.transitions, d.initial)
-    reaching = _states_reaching(d, set(d.finals))
-    # reachable finals from which a non-empty word leads to a final
-    bad = frozenset(f for f in renum if f in d.finals
-                    and any(t in reaching for t in d.transitions[f]))
-    if bad:
-        shorter, f = _bfs_word(d, d.initial, bad)
-        ext = min((s + _bfs_word(d, t, d.finals)[0]
-                   for s, t in zip(d.alphabet.symbols, d.transitions[f]) if t in reaching),
-                  key=lambda w: (len(w), w))
-        raise PrefixFreeViolation(shorter, shorter + ext)
-    return measure_open(OpenSet.from_parts(d.alphabet, d.n_states, d.initial,
-                                           d.transitions, d.finals), weights)

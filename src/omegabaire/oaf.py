@@ -202,7 +202,10 @@ def parse_oaf(text: str, warnings: list[str] | None = None) -> OafDocument:
         raise OafError(f"initial state {initial} not in 0..{n_states - 1}")
 
     k = len(alphabet)
-    rows: list[list[int | None]] = [[None] * k for _ in range(n_states)]
+    # Transitions are collected by slot q*k + symbol index, and the table is
+    # built only once every slot is declared, so a huge state count with few
+    # lines allocates nothing.
+    slots: dict[int, int] = {}
     for lineno, tokens in trans_raw:
         if len(tokens) != 3:
             raise OafError("trans needs 'state symbol state'", lineno)
@@ -214,17 +217,19 @@ def parse_oaf(text: str, warnings: list[str] | None = None) -> OafDocument:
         for st in (q, t):
             if not (0 <= st < n_states):
                 raise OafError(f"state {st} not in 0..{n_states - 1}", lineno)
-        si = alphabet.index(sym)
-        if rows[q][si] is not None:
+        slot = q * k + alphabet.index(sym)
+        if slot in slots:
             raise OafError(f"duplicate transition from {q} on {sym!r}", lineno)
-        rows[q][si] = t
-    for q in range(n_states):
-        for si in range(k):
-            if rows[q][si] is None:
-                raise OafError(
-                    f"missing transition from state {q} on "
-                    f"symbol {alphabet.symbols[si]!r}"
-                )
+        slots[slot] = t
+    if len(slots) < n_states * k:
+        # one of the first len(slots) + 1 slots is free
+        q, si = divmod(next(i for i in range(n_states * k) if i not in slots), k)
+        raise OafError(
+            f"missing transition from state {q} on symbol {alphabet.symbols[si]!r}: "
+            f"{len(slots)} declared, but {n_states} states over {k} symbols "
+            f"need {n_states * k}"
+        )
+    rows = [[slots[q * k + si] for si in range(k)] for q in range(n_states)]
 
     acceptance = finals = None
     if kind == "dma":

@@ -26,7 +26,6 @@ from math import lcm
 from .automata import (
     DMA,
     InvariantError,
-    _doomed_states,
     _live_states,
     ball_open,
     closure,
@@ -111,16 +110,6 @@ def _counter_step(alive: dict[int, int], arity: int,
         up = c + arity - 1
         new[up] = new.get(up, 0) + n * branching
     return new
-
-
-def member_length_counts(spec: CounterLanguageSpec, max_len: int) -> list[int]:
-    """Number of members of V of each length 0..max_len (exact DP)."""
-    alive = {1: 1}  # counter value -> number of still-positive words
-    counts = [0]
-    for _ in range(max_len):
-        counts.append(alive.get(1, 0))
-        alive = _counter_step(alive, spec.arity, 1, 1)
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +436,7 @@ def _f1_difference_ball(e: DMA, spec: CounterLanguageSpec) -> tuple[str, str]:
     """
     rows = e.transitions
     live = set(_live_states(e))
-    doomed = _doomed_states(e)
+    doomed = set(_live_states(complement(e)))
     start = (e.initial, 1)
     words = {start: ""}
     order = [start]

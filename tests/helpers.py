@@ -38,7 +38,7 @@ from omegabaire import (
 )
 from omegabaire.automata import nontrivial_sccs
 from omegabaire.measure import check_weights
-from omegabaire.onecounter import DEAD, IN_V
+from omegabaire.onecounter import DEAD, IN_V, _counter_step
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -285,6 +285,17 @@ def survival_sequence_oracle(spec: CounterLanguageSpec, n: int,
         dist = new
         out.append(sum(dist.values(), Fraction(0)))
     return out
+
+
+def member_length_counts(spec: CounterLanguageSpec, max_len: int) -> list[int]:
+    """Number of members of V of each length 0..max_len, by the library's
+    integer counter recursion (exact DP)."""
+    alive = {1: 1}  # counter value -> number of still-positive words
+    counts = [0]
+    for _ in range(max_len):
+        counts.append(alive.get(1, 0))
+        alive = _counter_step(alive, spec.arity, 1, 1)
+    return counts
 
 
 def _ball_poly(k: int, t: Fraction) -> Fraction:

@@ -297,31 +297,49 @@ def _query_results(a):
 
 
 def test_graph_of_each_automaton_analysed_once(monkeypatch):
-    searches, reaching = [], []
+    searches, reaching, passes = [], [], []
     search_scc, states_reaching = automata._search_scc, automata._states_reaching
+    induced_sccs = automata._induced_sccs
 
     def counting_search(rows, cond, C):
-        searches.append(cond)
+        searches.append((cond, C))
         return search_scc(rows, cond, C)
 
     def counting_reaching(d, targets):
         reaching.append(d)
         return states_reaching(d, targets)
 
+    def counting_induced(rows, region):
+        # a region given as a range is the whole-graph pass of nontrivial_sccs
+        if isinstance(region, range):
+            passes.append(rows)
+        return induced_sccs(rows, region)
+
     def own_searches(d):
-        return sum(1 for cond in searches if cond is d.cond)
+        return sum(1 for cond, _ in searches if cond is d.cond)
 
     monkeypatch.setattr(automata, "_search_scc", counting_search)
     monkeypatch.setattr(automata, "_states_reaching", counting_reaching)
+    monkeypatch.setattr(automata, "_induced_sccs", counting_induced)
     a = _difference_chain()
+    # the complement is built once, before either polarity has its SCCs, and
+    # the one Tarjan pass that computes them serves both
+    c = complement(a)
+    assert complement(a) is c and complement(c) is a
     n_sccs = len(automata.nontrivial_sccs(a))
-    assert n_sccs > 1
+    assert n_sccs > 1 and automata.nontrivial_sccs(c) == automata.nontrivial_sccs(a)
+    assert len(passes) == 1
     # the interior reads the complement's live set: it searches every SCC
     # under the complement's condition and none under ``a``'s
-    interior(a)
-    assert own_searches(a) == 0 and len(searches) == n_sccs
+    it = interior(a)
+    assert own_searches(a) == 0 and own_searches(c) == len(searches) == n_sccs
     assert not any(d is a for d in reaching)
-    searches.clear()
+    # a second interior, and the complement's emptiness, search nothing: the
+    # complement's least SCC rejects and its second accepts
+    again = interior(a)
+    assert (again.transitions, again.finals) == (it.transitions, it.finals)
+    assert not is_empty(complement(a))
+    assert len(searches) == n_sccs
     # the least SCC of ``a`` accepts, so the witness needs one search
     x = accepting_witness(a)
     assert up_membership(a, x) and own_searches(a) == 1
@@ -339,18 +357,22 @@ def test_graph_of_each_automaton_analysed_once(monkeypatch):
     assert len(searches) == searched
     assert _query_results(a) == first and own_searches(a) == n_sccs
 
-    # the complement shares the transitions, so the SCCs, but not the live
-    # set or the accepting sets: its least SCC rejects and its second accepts
-    c, fresh = complement(a), complement(_difference_chain())
+    # the complement answers from its own caches, as a complement built
+    # afresh from an equal automaton does
+    fresh = complement(_difference_chain())
     y = accepting_witness(c)
-    assert own_searches(c) == 2
-    assert up_membership(c, y) and not up_membership(a, y) and not is_empty(c)
+    assert up_membership(c, y) and not up_membership(a, y)
     assert not equivalent(closure(a), closure(fresh))
     last = _query_results(fresh)
     cl, fresh_cl = closure(c), closure(fresh)
     assert cl.transitions == fresh_cl.transitions and equivalent(cl, fresh_cl)
     assert _query_results(c) == last
-    assert own_searches(c) == n_sccs
+    # over the whole test each SCC was searched at most once per polarity,
+    # and the SCCs of ``a`` and ``c`` came from one pass
+    assert own_searches(a) == own_searches(c) == n_sccs
+    mine = [(id(cond), C) for cond, C in searches if cond is a.cond or cond is c.cond]
+    assert len(set(mine)) == len(mine) == 2 * n_sccs
+    assert sum(1 for rows in passes if rows is a.transitions) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from omegabaire import (
     ABPWitness,
     avoid_infix_dma,
     complement,
-    complement_witness,
     contains,
     empty_dma,
     empty_open,
@@ -30,7 +29,6 @@ from omegabaire import (
     symdiff,
     synthesize_abp_witness,
     union,
-    union_witness,
     up_membership,
     up_non_infix_witness,
     verify_abp_witness,
@@ -130,31 +128,27 @@ def test_verify_alphabet_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# composition
+# witnesses of unions and complements: synthesis on the combined automaton
 
 
 def test_union_witness_trivial():
     f = empty_dma(AB)
-    w = synthesize_abp_witness(f)
-    u = union_witness(f, w, f, w)
+    u = synthesize_abp_witness(union(f, f))
     assert u.e.is_empty() and is_empty(u.fprime)
 
 
 def test_union_witness_clopen_cover():
-    f1, w1 = dma_ball_a(), synthesize_abp_witness(dma_ball_a())
     b_ball = complement(dma_ball_a())  # over {a,b} this is b.X^omega
-    w2 = synthesize_abp_witness(b_ball)
-    u = union_witness(f1, w1, b_ball, w2)
+    u = synthesize_abp_witness(union(dma_ball_a(), b_ball))
     assert equivalent(open_to_dma(u.e), full_dma(AB))
     assert is_empty(u.fprime)
 
 
 def test_union_witness_two_singletons():
-    f1, f2 = dma_singleton("a"), dma_singleton("b")
-    w1, w2 = synthesize_abp_witness(f1), synthesize_abp_witness(f2)
-    u = union_witness(f1, w1, f2, w2)
+    f = union(dma_singleton("a"), dma_singleton("b"))
+    u = synthesize_abp_witness(f)
     assert u.e.is_empty()
-    assert equivalent(u.fprime, union(f1, f2))
+    assert equivalent(u.fprime, f)
     assert is_meager(u.fprime)
 
 
@@ -163,50 +157,42 @@ def test_union_witness_random_pairs():
     for _ in range(25):
         f1 = random_dma(rng, 4, alphabets=(AB,))
         f2 = random_dma(rng, 4, alphabets=(AB,))
-        w1, w2 = synthesize_abp_witness(f1), synthesize_abp_witness(f2)
-        u = union_witness(f1, w1, f2, w2)
-        assert verify_abp_witness(union(f1, f2), u)
+        f = union(f1, f2)
+        assert verify_abp_witness(f, synthesize_abp_witness(f))
 
 
 def test_union_witness_rejects_unverified_inputs():
-    f = full_dma(AB)
-    good = synthesize_abp_witness(f)
-    bad = ABPWitness(empty_open(AB), empty_dma(AB))
-    with pytest.raises(ValueError):
-        union_witness(f, good, f, bad)
+    f = union(full_dma(AB), dma_ball_a())
+    check = verify_abp_witness(f, ABPWitness(empty_open(AB), empty_dma(AB)))
+    assert not check and check.failed == "containment"
+    assert up_membership(f, check.counterexample)
 
 
 def test_complement_witness_full():
-    f = full_dma(AB)
-    w = synthesize_abp_witness(f)
-    c = complement_witness(f, w)
+    c = synthesize_abp_witness(complement(full_dma(AB)))
     assert c.e.is_empty() and is_empty(c.fprime)
 
 
 def test_complement_witness_clopen():
     f = dma_ball_a()
-    w = synthesize_abp_witness(f)
-    c = complement_witness(f, w)
+    c = synthesize_abp_witness(complement(f))
     assert equivalent(open_to_dma(c.e), complement(f))
     assert is_empty(c.fprime)
 
 
 def test_complement_witness_inf_a():
-    f = dma_inf_a()
-    w = synthesize_abp_witness(f)
-    c = complement_witness(f, w)
+    f = complement(dma_inf_a())
+    c = synthesize_abp_witness(f)
     assert c.e.is_empty()
     assert equivalent(c.fprime, dma_fin_a())
-    assert verify_abp_witness(complement(f), c)
+    assert verify_abp_witness(f, c)
 
 
 def test_complement_witness_random():
     rng = random.Random(54)
     for _ in range(25):
-        f = random_dma(rng, 4, alphabets=(AB,))
-        w = synthesize_abp_witness(f)
-        c = complement_witness(f, w)
-        assert verify_abp_witness(complement(f), c)
+        f = complement(random_dma(rng, 4, alphabets=(AB,)))
+        assert verify_abp_witness(f, synthesize_abp_witness(f))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -303,6 +304,30 @@ def test_error_exit_codes(oaf_dir, capsys, tmp_path):
     assert code == 2 and err
 
 
+def test_huge_state_count_exits_2_at_once(tmp_path):
+    # 10^11 states and no transition line: the file is refused from its line
+    # count before any table is built.  The child's address space is capped,
+    # so a parser that allocated first would fail fast, not fill the memory.
+    p = tmp_path / "huge.oaf"
+    p.write_text("kind: dma\nalphabet: a b\nstates: 99999999999\ninitial: 0\n")
+    assert len(p.read_bytes()) == 55
+    code = textwrap.dedent("""
+        import resource, sys, time
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+        from omegabaire.cli import main
+        t0 = time.perf_counter()
+        code = main(["empty", sys.argv[1]])
+        print(code, time.perf_counter() - t0)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code, str(p)], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert "Traceback" not in out.stderr, out.stderr
+    status, seconds = out.stdout.split()
+    assert status == "2" and float(seconds) < 0.5
+    assert "0 declared" in out.stderr and "need 199999999998" in out.stderr
+
+
 def test_internal_limit_exit_code(capsys, tmp_path, monkeypatch):
     # the complement's family is materialized for output; past the bound on
     # the cycle-closed subsets of one component the command must exit 3
@@ -423,8 +448,8 @@ def test_cached_parser_calls_current_functions(oaf_dir, capsys, monkeypatch):
 
 
 _FUZZ_CHARS = "0123456789 abcw{}:#/=-\n"
-_FUZZ_TOKENS = ["-1", "0", "1", "3", "17", "1/2", "x", "{}", "{0 0}", "dma", "open",
-                "accept:", "trans:", "final:", "measure:", "uniform", "a=1/2 b=1/2"]
+_FUZZ_TOKENS = ["-1", "0", "1", "3", "17", "99999999999", "1/2", "x", "{}", "{0 0}", "dma",
+                "open", "accept:", "trans:", "final:", "measure:", "uniform", "a=1/2 b=1/2"]
 
 
 def _mutate(rng: random.Random, text: str) -> str:

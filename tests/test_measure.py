@@ -5,9 +5,7 @@ import pytest
 
 from omegabaire import (
     DMA,
-    Dfa,
     OpenSet,
-    PrefixFreeViolation,
     acceptance_probabilities,
     accepting_witness,
     ball_open,
@@ -23,7 +21,6 @@ from omegabaire import (
     mu,
     open_to_dma,
     parse_rational,
-    sigma_prefix_free,
     uniform_weights,
     union,
 )
@@ -268,11 +265,11 @@ def test_safety_bracketing_dp():
 
 
 # ---------------------------------------------------------------------------
-# sigma over prefix-free word sets
+# sigma(W), the measure of the open set W.X^omega of a finite word set
 
 
-def _word_set_dfa(words):
-    """Trie DFA accepting exactly the given finite word set."""
+def _word_set_open(words):
+    """The open set of the balls of the given finite words, from their trie."""
     states = {"": 0}
     for w in words:
         for i in range(1, len(w) + 1):
@@ -285,31 +282,29 @@ def _word_set_dfa(words):
             ext = pre + s
             if ext in states:
                 rows[q][si] = states[ext]
-    finals = frozenset(states[w] for w in words)
-    return Dfa(AB, dead + 1, 0, tuple(tuple(r) for r in rows), finals)
+    return OpenSet.from_parts(AB, dead + 1, 0, rows, [states[w] for w in words])
 
 
 def test_sigma_known_values():
-    assert sigma_prefix_free(_word_set_dfa(["a"])) == Fraction(1, 2)
-    assert sigma_prefix_free(_word_set_dfa(["a", "ba"])) == Fraction(3, 4)
+    assert measure_open(_word_set_open(["a"])) == Fraction(1, 2)
+    assert measure_open(_word_set_open(["a", "ba"])) == Fraction(3, 4)
 
 
 def test_sigma_geometric_series():
     # a* b: all words of a's followed by one b; sigma = sum 2^-(k+1) = 1
-    d = Dfa(AB, 3, 0, ((0, 1), (2, 2), (2, 2)), frozenset({1}))
-    assert sigma_prefix_free(d) == 1
+    e = OpenSet.from_parts(AB, 3, 0, ((0, 1), (2, 2), (2, 2)), {1})
+    assert measure_open(e) == 1
 
 
-def test_sigma_rejects_non_prefix_free():
-    with pytest.raises(PrefixFreeViolation) as ei:
-        sigma_prefix_free(_word_set_dfa(["a", "ab"]))
-    v = ei.value
-    assert v.shorter == "a" and v.longer.startswith("a") and len(v.longer) > 1
+def test_open_word_set_counts_nested_balls_once():
+    # ab.X^omega lies inside a.X^omega, so W = {a, ab} measures as {a}
+    assert measure_open(_word_set_open(["a", "ab"])) == Fraction(1, 2)
 
 
 def test_sigma_weighted():
     w = {"a": Fraction(1, 4), "b": Fraction(3, 4)}
-    assert sigma_prefix_free(_word_set_dfa(["a", "ba"]), w) == Fraction(1, 4) + Fraction(3, 4) * Fraction(1, 4)
+    expected = Fraction(1, 4) + Fraction(3, 4) * Fraction(1, 4)
+    assert measure_open(_word_set_open(["a", "ba"]), w) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +346,10 @@ def test_probabilities_satisfy_fixpoint_at_800_states(weights):
     _check_fixpoint(800, weights)
 
 
-def _accept_sink_views(a: DMA):
-    """The set of runs reaching an accepting sink, as an open set and as
-    the prefix-free language of the words that first reach it."""
-    bottoms = bsccs(a)
-    finals = frozenset(q for C in bottoms if a.accepts_set(C) for q in C)
-    dead = next(q for C in bottoms if not a.accepts_set(C) for q in C)
-    k = len(a.alphabet)
-    e = OpenSet.from_parts(a.alphabet, a.n_states, a.initial, a.transitions, finals)
-    rows = tuple((dead,) * k if q in finals else a.transitions[q]
-                 for q in range(a.n_states))
-    return e, Dfa(a.alphabet, a.n_states, a.initial, rows, finals)
+def _accept_sink_open(a: DMA) -> OpenSet:
+    """The set of runs reaching an accepting sink, as an open set."""
+    finals = [q for C in bsccs(a) if a.accepts_set(C) for q in C]
+    return OpenSet.from_parts(a.alphabet, a.n_states, a.initial, a.transitions, finals)
 
 
 @pytest.mark.parametrize("n,alphabet,oracle_solve", [
@@ -371,10 +359,9 @@ def _accept_sink_views(a: DMA):
 def test_measures_match_oracle_solver(monkeypatch, n, alphabet, oracle_solve):
     rng = random.Random(74 + n)
     a = dma_transient_scc(rng, n, alphabet)
-    e, d = _accept_sink_views(a)
+    e = _accept_sink_open(a)
     w = random_weights(rng, alphabet)
-    got = [(f(x), f(x, w)) for f, x in ((mu, a), (measure_open, e),
-                                        (sigma_prefix_free, d))]
+    got = [(f(x), f(x, w)) for f, x in ((mu, a), (measure_open, e))]
     sizes = []
 
     def oracle(matrix, rhs):
@@ -382,9 +369,8 @@ def test_measures_match_oracle_solver(monkeypatch, n, alphabet, oracle_solve):
         return oracle_solve(matrix, rhs)
 
     monkeypatch.setattr(measure, "solve_linear_system", oracle)
-    expected = [(f(x), f(x, w)) for f, x in ((mu, a), (measure_open, e),
-                                             (sigma_prefix_free, d))]
-    assert sizes == [n] * 6
+    expected = [(f(x), f(x, w)) for f, x in ((mu, a), (measure_open, e))]
+    assert sizes == [n] * 4
     assert got == expected
-    # the only accepting bottom is a sink, so all three measure one event
-    assert got[0] == got[1] == got[2]
+    # the only accepting bottom is a sink, so both measure one event
+    assert got[0] == got[1]

@@ -30,13 +30,13 @@ from omegabaire.onecounter import (
     IN_V,
     PROPER_PREFIX,
     Interval,
-    member_length_counts,
 )
 
 from helpers import (
     AB,
     f1_ball_kind_oracle,
     marked_member_balls,
+    member_length_counts,
     random_open,
     root_bisection_oracle,
     survival_sequence_oracle,
