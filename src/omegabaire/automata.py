@@ -48,7 +48,6 @@ from .conditions import (
     c_and,
     c_not,
     c_or,
-    c_xor,
     evaluate,
     family_atom,
     hits_atom,
@@ -508,7 +507,7 @@ def boolean_combine(a: DMA, b: DMA, mode: str) -> DMA:
     elif mode == "intersection":
         cond = c_and([cond_a, cond_b])
     elif mode == "symdiff":
-        cond = c_xor(cond_a, cond_b)
+        cond = c_or([c_and([cond_a, c_not(cond_b)]), c_and([c_not(cond_a), cond_b])])
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return DMA(a.alphabet, len(order), 0, rows, cond)
@@ -801,20 +800,26 @@ def equivalent(a: DMA, b: DMA) -> bool:
 # topology: closure, interior, density
 
 
-def _states_reaching(a: Dfa | DMA, targets: set[int]) -> set[int]:
-    preds: list[set[int]] = [set() for _ in range(a.n_states)]
-    for q in range(a.n_states):
-        for t in a.transitions[q]:
-            preds[t].add(q)
-    seen = set(targets)
-    stack = list(targets)
-    while stack:
-        q = stack.pop()
+def _states_reaching(a: Dfa | DMA, targets: Iterable[int]) -> dict[int, int | None]:
+    """States with a path into ``targets``, in breadth-first order from them.
+
+    Each target maps to None, and every other such state to the index of the
+    first symbol of a shortest path into the targets, so the order lists the
+    states by their distance to the targets.
+    """
+    rows = a.transitions
+    preds: list[list[int]] = [[] for _ in range(a.n_states)]
+    for q, row in enumerate(rows):
+        for t in row:
+            preds[t].append(q)
+    toward: dict[int, int | None] = dict.fromkeys(targets)
+    order = list(toward)  # a dict cannot grow while it is iterated
+    for q in order:
         for p in preds[q]:
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return seen
+            if p not in toward:
+                toward[p] = rows[p].index(q)
+                order.append(p)
+    return toward
 
 
 def _live_states(a: DMA) -> tuple[int, ...]:

@@ -9,7 +9,15 @@ required to agree, which the test suite checks aggressively.
 
 from __future__ import annotations
 
-from .automata import DMA, InvariantError, _live_states, avoid_infix_dma, bsccs, contains
+from .automata import (
+    DMA,
+    InvariantError,
+    _live_states,
+    _states_reaching,
+    avoid_infix_dma,
+    bsccs,
+    contains,
+)
 from .measure import mu
 
 
@@ -61,37 +69,38 @@ def is_nowhere_dense(a: DMA) -> bool:
 
 
 def avoided_infix(a: DMA) -> str | None:
-    """Shortlex-least non-empty word that no member of the language
-    contains as an infix, or None iff the language is not nowhere dense.
+    """A non-empty word of at most m^2 letters that no member of the
+    language contains as an infix, m the number of live states; None iff
+    the language is not nowhere dense.
 
-    As every state is reachable, w is avoided iff its image of the state
-    set misses the live states, and some w of length at most m^2 is, m the
-    number of live states (see the README).  A breadth-first search in
-    symbol order over the images' live parts finds the least one; it is
-    exponential in the worst case, as shortest reset words are NP-hard to
-    find (Eppstein 1990).  The word is verified before it is returned.
+    As every state is reachable, w is avoided iff its image of the live
+    states misses them.  In a nowhere dense language every live state leads
+    to a dead one, so the loop takes the live state of the image nearest to
+    the dead states and follows a shortest path from it into them, applying
+    each letter to the whole image.  Each round empties at least one state
+    in at most m letters.  The word need not be the shortest: finding that
+    one generalizes shortest reset words, which is NP-hard (Eppstein 1990).
+    The word is verified before it is returned.
     """
     if not is_nowhere_dense(a):
         return None
     live = frozenset(_live_states(a))
-    rows = a.transitions
-    seen = {live}
-    frontier = [(live, "")]
-    while frontier:
-        nxt = []
-        for image, w in frontier:
-            for si, sym in enumerate(a.alphabet.symbols):
-                t = live.intersection(rows[q][si] for q in image)
-                # before the seen check: the empty language starts empty
-                if not t:
-                    if not contains(avoid_infix_dma(a.alphabet, w + sym), a):
-                        raise InvariantError(f"every member must avoid {w + sym!r}")
-                    return w + sym
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append((t, w + sym))
-        frontier = nxt
-    raise InvariantError("a nowhere dense language must avoid some infix")
+    toward = _states_reaching(a, set(range(a.n_states)) - live)
+    rows, symbols = a.transitions, a.alphabet.symbols
+    word = []
+    image = live
+    while image:
+        q = next(p for p in toward if p in image)
+        while q in live:
+            si = toward[q]
+            word.append(symbols[si])
+            q = rows[q][si]
+            image = live.intersection(rows[p][si] for p in image)
+    # the empty language starts with an empty image
+    w = "".join(word) or symbols[0]
+    if not contains(avoid_infix_dma(a.alphabet, w), a):
+        raise InvariantError(f"every member must avoid {w!r}")
+    return w
 
 
 __all__ = [

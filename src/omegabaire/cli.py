@@ -333,8 +333,8 @@ def _build_parser() -> argparse.ArgumentParser:
               "does the language contain a disjunctive word?",
               decide="contains_disjunctive")
     files_cmd("avoided-infix", "_cmd_avoided_infix", [],
-              "shortlex-least infix avoided by the whole language, "
-              "or none if it is not nowhere dense")
+              "an infix avoided by the whole language, of at most m^2 letters "
+              "for m live states, or none if it is not nowhere dense")
     files_cmd("empty", "_cmd_empty", [],
               "emptiness, with an ultimately periodic witness if non-empty")
 
@@ -437,6 +437,11 @@ def main(argv=None) -> int:
         return 2
     except (AssertionError, RuntimeError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # any other fault still exits 3, without a traceback
+        command = " ".join(filter(None, (args.command, getattr(args, "abp_command", None),
+                                         getattr(args, "v3_command", None))))
+        print(f"internal error in {command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -83,14 +83,6 @@ class Or(Cond):
         self.parts = parts
 
 
-class Xor(Cond):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Cond, right: Cond):
-        self.left = left
-        self.right = right
-
-
 def c_not(x: Cond) -> Cond:
     if isinstance(x, Bool):
         return FALSE if x.value else TRUE
@@ -135,14 +127,6 @@ def c_or(parts: Iterable[Cond]) -> Cond:
     return Or(tuple(flat))
 
 
-def c_xor(a: Cond, b: Cond) -> Cond:
-    if isinstance(a, Bool):
-        return c_not(b) if a.value else b
-    if isinstance(b, Bool):
-        return c_not(a) if b.value else a
-    return Xor(a, b)
-
-
 def family_atom(n_states: int, family: Iterable[frozenset[int]]) -> Cond:
     """Explicit Muller family over the automaton's own states."""
     fam = frozenset(frozenset(t) for t in family)
@@ -179,8 +163,6 @@ def _eval(cond: Cond, s) -> bool:
         return all(_eval(p, s) for p in cond.parts)
     if isinstance(cond, Or):
         return any(_eval(p, s) for p in cond.parts)
-    if isinstance(cond, Xor):
-        return _eval(cond.left, s) != _eval(cond.right, s)
     raise TypeError(f"unknown condition node {cond!r}")
 
 
@@ -199,8 +181,6 @@ def assign(cond: Cond, mapping: dict[Atom, bool]) -> Cond:
         return c_and(assign(p, mapping) for p in cond.parts)
     if isinstance(cond, Or):
         return c_or(assign(p, mapping) for p in cond.parts)
-    if isinstance(cond, Xor):
-        return c_xor(assign(cond.left, mapping), assign(cond.right, mapping))
     raise TypeError(f"unknown condition node {cond!r}")
 
 
@@ -220,9 +200,6 @@ def _iter_atoms(cond: Cond) -> Iterator[Atom]:
     elif isinstance(cond, (And, Or)):
         for p in cond.parts:
             yield from _iter_atoms(p)
-    elif isinstance(cond, Xor):
-        yield from _iter_atoms(cond.left)
-        yield from _iter_atoms(cond.right)
 
 
 def remap(cond: Cond, state_map: list[int] | tuple[int, ...], cache: dict) -> Cond:
@@ -248,6 +225,4 @@ def remap(cond: Cond, state_map: list[int] | tuple[int, ...], cache: dict) -> Co
         return c_and(remap(p, state_map, cache) for p in cond.parts)
     if isinstance(cond, Or):
         return c_or(remap(p, state_map, cache) for p in cond.parts)
-    if isinstance(cond, Xor):
-        return c_xor(remap(cond.left, state_map, cache), remap(cond.right, state_map, cache))
     raise TypeError(f"unknown condition node {cond!r}")

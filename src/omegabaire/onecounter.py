@@ -35,7 +35,8 @@ from .automata import (
     open_to_dma,
     OpenSet,
 )
-from .measure import check_weights, format_decimal, format_rational, measure_open, mu
+from .category import is_nowhere_dense
+from .measure import check_weights, format_decimal, format_rational, measure_open
 from .words import Alphabet, UPWord
 
 IN_V = "in_V"
@@ -487,8 +488,8 @@ def f1_refute_open(e: OpenSet, precision: int = 64) -> RefutationReport:
     spec = default_counter_spec()
     mu_e = measure_open(e)
     e_dma = open_to_dma(e)
-    if mu(closure(e_dma)) != mu_e:
-        raise InvariantError("a regular open set has a null boundary")
+    if not is_nowhere_dense(intersection(closure(e_dma), complement(e_dma))):
+        raise InvariantError("a regular open set has a nowhere dense boundary")
     bits = max(8, precision)
     iv = min_positive_root(3, bits)
     while iv.lo <= 3 * mu_e <= iv.hi:

@@ -36,7 +36,7 @@ from omegabaire import (
     open_union,
     up_normalize,
 )
-from omegabaire.automata import nontrivial_sccs
+from omegabaire.automata import _live_states, bsccs, nontrivial_sccs
 from omegabaire.measure import check_weights
 from omegabaire.onecounter import DEAD, IN_V, _counter_step
 
@@ -152,6 +152,27 @@ def random_dma(rng: random.Random, max_states: int = 6,
     keep = rng.uniform(0.15, 0.6)
     family = [s for s in subsets if rng.random() < keep]
     return DMA.from_parts(alphabet, n, 0, rows, family)
+
+
+def nowhere_dense_block_dma(rng: random.Random, n: int, alphabet: Alphabet = AB) -> DMA:
+    """A DMA of ``n`` states in blocks laid out as ``block_dmas`` in
+    test_properties.py lays them out, whose family is exactly its non-bottom
+    nontrivial SCCs: so its language is nowhere dense, and empty when every
+    nontrivial SCC is a bottom one."""
+    starts = [0, *sorted(rng.sample(range(4, n), rng.randint(0, 4)))]
+    rows = []
+    for lo, hi in zip(starts, [*starts[1:], n]):
+        for q in range(lo, hi):
+            rows.append([q + 1 if si == 0 and q + 1 < hi else rng.randint(lo, hi - 1)
+                         for si in range(len(alphabet))])
+        if 0 < lo and hi < n and rng.random() < 0.5:
+            rows[hi - 1][0] = rng.randint(hi, n - 1)
+    for j, lo in enumerate(starts[1:]):
+        rows[j][1] = lo
+    shape = DMA.from_parts(alphabet, n, 0, rows, [])
+    bottoms = bsccs(shape)
+    family = [C for C in nontrivial_sccs(shape) if C not in bottoms]
+    return DMA.from_parts(alphabet, shape.n_states, 0, shape.transitions, family)
 
 
 def random_open(rng: random.Random, alphabet: Alphabet = AB,
@@ -372,6 +393,34 @@ def avoided_infix_oracle(a: DMA, max_len: int) -> str | None:
     for w in a.alphabet.iter_words(1, max_len):
         if contains(avoid_infix_dma(a.alphabet, w), a):
             return w
+    return None
+
+
+def shortlex_avoided_infix_oracle(a: DMA) -> str | None:
+    """Shortlex-least non-empty word that no member of the language contains
+    as an infix, or None if every word occurs in some member.
+
+    As every state is reachable, w is avoided iff its image of the live
+    states misses them.  A breadth-first search in symbol order over those
+    images finds the least such w; it is exponential in the worst case, as
+    shortest reset words are NP-hard to find (Eppstein 1990).
+    """
+    live = frozenset(_live_states(a))
+    rows = a.transitions
+    seen = {live}
+    frontier = [(live, "")]
+    while frontier:
+        nxt = []
+        for image, w in frontier:
+            for si, sym in enumerate(a.alphabet.symbols):
+                t = live.intersection(rows[q][si] for q in image)
+                # before the seen check: the empty language starts empty
+                if not t:
+                    return w + sym
+                if t not in seen:
+                    seen.add(t)
+                    nxt.append((t, w + sym))
+        frontier = nxt
     return None
 
 

@@ -17,16 +17,20 @@ from omegabaire import (
     open_to_dma,
     union,
 )
-from omegabaire import ball_open, complement, intersection
+from omegabaire import ball_open, complement, contains, intersection
+from omegabaire.automata import _live_states
 
 from helpers import (
     AB,
+    ABC,
     avoided_infix_oracle,
     dma_ball_a,
     dma_inf_a,
     dma_singleton,
     dma_transient_cycle,
+    nowhere_dense_block_dma,
     random_dma,
+    shortlex_avoided_infix_oracle,
 )
 
 
@@ -114,12 +118,19 @@ def test_nowhere_dense_implies_meager():
 # avoided infixes
 
 
+def _assert_avoided(a: DMA, w: str) -> None:
+    """No member contains ``w``, it has at most m^2 letters, m the number of
+    live states, and no shortlex word is longer."""
+    assert contains(avoid_infix_dma(a.alphabet, w), a)
+    assert 1 <= len(w) <= max(1, len(_live_states(a)) ** 2)
+    assert len(w) >= len(shortlex_avoided_infix_oracle(a))
+
+
 def test_avoided_infix_known():
-    assert avoided_infix(dma_singleton("a")) == "b"
     ab_cycle = DMA.from_parts(AB, 3, 0, [[2, 1], [0, 2], [2, 2]], [{0, 1}])
-    assert avoided_infix(ab_cycle) == "aa"
     two = union(dma_singleton("a"), dma_singleton("b"))
-    assert avoided_infix(two) == "ab"
+    for a in (dma_singleton("a"), ab_cycle, two):
+        _assert_avoided(a, avoided_infix(a))
 
 
 def test_avoided_infix_requires_meager():
@@ -144,13 +155,15 @@ def test_avoided_infix_matches_capped_enumeration():
         a = random_dma(rng, 5, alphabets=(AB,))
         w = avoided_infix(a)
         assert (w is None) == (not is_nowhere_dense(a))
+        # the two oracles agree wherever the capped one finds a word
         expected = avoided_infix_oracle(a, 6)
         if expected is not None:
             found += 1
-            assert w == expected
+            assert shortlex_avoided_infix_oracle(a) == expected
         elif w is not None:
             assert len(w) > 6
         if w is not None:
+            _assert_avoided(a, w)
             # no member exhibits the infix
             assert is_empty(intersection(a, complement(avoid_infix_dma(a.alphabet, w))))
     assert found >= 10
@@ -164,13 +177,30 @@ def cerny_dma(n: int) -> DMA:
     return DMA.from_parts(AB, n + 1, 0, rows, [set(range(n))])
 
 
-@pytest.mark.parametrize("n", [6, 10, 14])
+@pytest.mark.parametrize("n", [6, 10, 14, 100])
 def test_avoided_infix_cerny_family(n):
-    # driving every state into the sink needs a word of length 2n - 3
+    # driving every state into the sink needs a word of length 2n - 3, and
+    # the nearest state first finds one that short
     w = avoided_infix(cerny_dma(n))
     assert w is not None and len(w) == 2 * n - 3
-    if n == 6:
-        assert w == avoided_infix_oracle(cerny_dma(n), 2 * n - 3)
+    if n <= 10:
+        assert len(shortlex_avoided_infix_oracle(cerny_dma(n))) == len(w)
+
+
+def test_avoided_infix_on_block_automata():
+    # inputs like these, of 40-60 states, took the shortlex image search
+    # up to seconds each; the words are checked, not timed
+    rng = random.Random(1)
+    drawn = 0
+    while drawn < 10:
+        a = nowhere_dense_block_dma(rng, rng.randint(40, 60), rng.choice((AB, ABC)))
+        if is_empty(a):
+            continue
+        drawn += 1
+        assert is_nowhere_dense(a)
+        w = avoided_infix(a)
+        assert contains(avoid_infix_dma(a.alphabet, w), a)
+        assert len(w) <= len(_live_states(a)) ** 2
 
 
 def test_large_transient_scc_is_neither_dense_nor_nowhere_dense():

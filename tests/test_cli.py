@@ -443,6 +443,19 @@ def test_cached_parser_calls_current_functions(oaf_dir, capsys, monkeypatch):
     assert run(capsys, "meager", oaf_dir["full"]) == (0, "false\n", "")
 
 
+def test_unexpected_fault_exits_3_naming_the_command(oaf_dir, capsys, monkeypatch):
+    def fault(args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "_cmd_empty", fault)
+    code, out, err = run(capsys, "empty", oaf_dir["full"])
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert err == "internal error in empty: KeyError: 'lost'\n"
+    monkeypatch.setattr(cli, "_cmd_v3_irrational", fault)
+    code, _, err = run(capsys, "v3", "irrational", "-k", "3")
+    assert code == 3 and err.startswith("internal error in v3 irrational: KeyError")
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: mutated OAF input exits 0, 2 or 3 and never with a traceback
 
@@ -481,8 +494,8 @@ def _mutate(rng: random.Random, text: str) -> str:
 def test_cli_fuzz_mutated_oaf(capsys, tmp_path):
     cases = [
         (serialize_oaf(from_dma(dma_a_ball_or_bw())) + "measure: a=1/3 b=2/3\n",
-         [["measure"], ["meager"], ["empty"], ["closure"], ["interior"],
-          ["boolean", "complement"]]),
+         [["measure"], ["meager"], ["dense"], ["nowhere-dense"], ["avoided-infix"],
+          ["empty"], ["closure"], ["interior"], ["boolean", "complement"]]),
         (serialize_oaf(from_open(marked_member_balls(4))), [["v3", "f1-refute"]]),
     ]
     rng = random.Random(2024)

@@ -46,6 +46,7 @@ from helpers import (  # noqa: E402
     bareiss_oracle,
     f1_ball_kind_oracle,
     realizable_sets_oracle,
+    shortlex_avoided_infix_oracle,
 )
 
 
@@ -126,6 +127,7 @@ def test_density_and_avoided_infix_match_the_topology(a):
         assert contains(avoid_infix_dma(a.alphabet, w), a)
         # the empty language avoids a first symbol
         assert len(w) <= max(1, len(_live_states(a)) ** 2)
+        assert len(w) >= len(shortlex_avoided_infix_oracle(a))
 
 
 def _periodic_states(a, x) -> tuple[int, frozenset[int]]:
