@@ -24,7 +24,14 @@ An automaton builds its complement once and keeps it: ``complement`` is an
 involution on objects, and the two share their SCCs, since the transitions
 are the same, while each searches them under its own condition.  The
 states from which some word is rejected, behind the interior, are the live
-states of the complement, so repeated interiors search nothing.  A
+states of the complement, so repeated interiors search nothing.
+Derived automata share their source's transition table wherever the rows
+do not change: the complement always, the closure and the prefix DFA when
+every state is live, and the interior in every row but its finals'.  The
+validating constructors keep tuple rows, and renumbering that finds the
+states already in canonical order keeps the table.  Sharing is safe
+because rows are tuples, which are immutable; rows given as lists are
+copied, so a caller who mutates its lists later changes no automaton.  A
 witness's period is built from two breadth-first trees inside its
 accepting set, in time linear in the set and the period.
 
@@ -176,44 +183,63 @@ class Dfa:
 
 
 def _check_rows(alphabet: Alphabet, n_states: int, rows) -> tuple[tuple[int, ...], ...]:
+    """The validated rows as a tuple of tuples.
+
+    Tuple rows are kept, not copied, and so is a tuple of them: tuples are
+    immutable, so the automaton can share them with its caller.  Rows of any
+    other type are copied, so a caller who later mutates them cannot change
+    the automaton.  A state id is an ``int`` in range; a ``bool`` or a float
+    that equals one is rejected, because a kept row would carry it unchanged
+    into the automaton and its serialization.
+    """
     k = len(alphabet)
     if len(rows) != n_states:
         raise ValueError(f"expected {n_states} transition rows, got {len(rows)}")
+    shared = type(rows) is tuple
     out = []
     for q, row in enumerate(rows):
-        row = tuple(row)
+        if type(row) is not tuple:
+            row = tuple(row)
+            shared = False
         if len(row) != k:
             raise ValueError(f"state {q} must have one transition per symbol")
         for si, t in enumerate(row):
-            if not (0 <= t < n_states):
+            if type(t) is not int or not 0 <= t < n_states:
                 raise ValueError(
-                    f"transition {q} --{alphabet.symbols[si]}--> {t} leaves the state set"
+                    f"transition {q} --{alphabet.symbols[si]}--> {t!r} is not a state "
+                    f"in 0..{n_states - 1}"
                 )
         out.append(row)
-    return tuple(out)
+    return rows if shared else tuple(out)
 
 
-def _rows_from_mapping(alphabet: Alphabet, n_states: int, trans) -> list[list[int]]:
+def _rows_from_mapping(alphabet: Alphabet, n_states: int, trans) -> Sequence[Sequence[int]]:
     """Accept either row form or a {(state, symbol): state} mapping."""
-    if isinstance(trans, dict):
-        rows = [[None] * len(alphabet) for _ in range(n_states)]
-        for (q, sym), t in trans.items():
-            rows[q][alphabet.index(sym)] = t
-        for q, row in enumerate(rows):
-            for si, t in enumerate(row):
-                if t is None:
-                    raise ValueError(
-                        f"missing transition from state {q} on {alphabet.symbols[si]!r}"
-                    )
-        return rows
-    return [list(r) for r in trans]
+    if not isinstance(trans, dict):
+        return trans if type(trans) is tuple else list(trans)
+    rows = [[None] * len(alphabet) for _ in range(n_states)]
+    for (q, sym), t in trans.items():
+        if type(q) is not int or not 0 <= q < n_states:
+            raise ValueError(
+                f"transition from {q!r} on {sym!r}: not a state in 0..{n_states - 1}"
+            )
+        rows[q][alphabet.index(sym)] = t
+    for q, row in enumerate(rows):
+        for si, t in enumerate(row):
+            if t is None:
+                raise ValueError(
+                    f"missing transition from state {q} on {alphabet.symbols[si]!r}"
+                )
+    return rows
 
 
 def _bfs_renumber(rows, initial: int) -> tuple[dict[int, int], tuple[tuple[int, ...], ...]]:
     """Reachable states renumbered in breadth-first shortlex order.
 
     Returns the map from old to new ids, whose keys come in the new order,
-    and the renumbered transition rows.
+    and the renumbered transition rows, which must be tuples.  When the
+    order is already 0, 1, 2, ... the rows are returned as they are, and a
+    tuple of them is returned itself if nothing was pruned.
     """
     renum = {initial: 0}
     order = [initial]
@@ -224,6 +250,10 @@ def _bfs_renumber(rows, initial: int) -> tuple[dict[int, int], tuple[tuple[int, 
                 renum[t] = len(order)
                 order.append(t)
         i += 1
+    if all(old == new for new, old in enumerate(order)):
+        if len(order) == len(rows) and type(rows) is tuple:
+            return renum, rows
+        return renum, tuple(rows[:len(order)])
     return renum, tuple(tuple(renum[t] for t in rows[old]) for old in order)
 
 
@@ -238,12 +268,14 @@ class OpenSet(Dfa):
     @classmethod
     def from_parts(cls, alphabet: Alphabet, n_states: int, initial: int,
                    transitions, finals: Iterable[int]) -> "OpenSet":
+        if type(initial) is not int or not 0 <= initial < n_states:
+            raise ValueError(f"initial state {initial!r} out of range")
         rows = _rows_from_mapping(alphabet, n_states, transitions)
         rows = _check_rows(alphabet, n_states, rows)
         fin = frozenset(finals)
         for q in fin:
-            if not (0 <= q < n_states):
-                raise ValueError(f"final state {q} out of range")
+            if type(q) is not int or not 0 <= q < n_states:
+                raise ValueError(f"final state {q!r} out of range")
         k = len(alphabet)
         rows = tuple((q,) * k if q in fin else rows[q] for q in range(n_states))
         renum, new_rows = _bfs_renumber(rows, initial)
@@ -355,16 +387,16 @@ class DMA:
         """
         if n_states < 1:
             raise ValueError("automaton needs at least one state")
-        if not (0 <= initial < n_states):
-            raise ValueError(f"initial state {initial} out of range")
+        if type(initial) is not int or not 0 <= initial < n_states:
+            raise ValueError(f"initial state {initial!r} out of range")
         rows = _rows_from_mapping(alphabet, n_states, transitions)
         rows = _check_rows(alphabet, n_states, rows)
         members = []
         for t in acceptance:
             member = frozenset(t)
             for q in member:
-                if not (0 <= q < n_states):
-                    raise ValueError(f"acceptance set state {q} out of range")
+                if type(q) is not int or not 0 <= q < n_states:
+                    raise ValueError(f"acceptance set state {q!r} out of range")
             members.append(member)
         renum, new_rows = _bfs_renumber(rows, initial)
         fam = {
@@ -833,14 +865,18 @@ def _live_states(a: DMA) -> tuple[int, ...]:
     return a._live
 
 
-def _live_restriction(a: DMA) -> tuple[list[tuple[int, ...]], int, int | None] | None:
+def _live_restriction(a: DMA
+                      ) -> tuple[Sequence[tuple[int, ...]], int, int | None] | None:
     """Transitions among the live states, or None if the initial state is dead.
 
     Live states keep their relative order; edges leaving them go to a sink,
     appended as the last state only when some edge needs it.  Returns the
-    rows, the initial state and the sink (or None).
+    rows, the initial state and the sink (or None).  When every state is
+    live, the rows are ``a``'s own table.
     """
     live = _live_states(a)
+    if len(live) == a.n_states:
+        return a.transitions, a.initial, None
     renum = {q: i for i, q in enumerate(live)}
     if a.initial not in renum:
         return None

@@ -6,9 +6,9 @@ delimited state sets) or an open set (``kind: open``, with absorbing
 ``final:`` states).  An optional ``measure:`` line declares Bernoulli
 symbol weights for measure queries.
 
-Documents are canonical after parsing (transitions sorted, families
-deduplicated and ordered), so ``parse_oaf(serialize_oaf(d)) == d`` and
-serialization is byte-deterministic.
+Documents are canonical after parsing (transitions as a table of rows in
+symbol order, families deduplicated and ordered), so
+``parse_oaf(serialize_oaf(d)) == d`` and serialization is byte-deterministic.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ class OafDocument:
     alphabet: Alphabet
     n_states: int
     initial: int
-    transitions: tuple[tuple[int, str, int], ...]
+    # One row per state, one target per symbol in alphabet order.
+    transitions: tuple[tuple[int, ...], ...]
     acceptance: tuple[tuple[int, ...], ...] | None = None
     finals: tuple[int, ...] | None = None
     weights: object = None  # None, "uniform", or tuple of (symbol, Fraction)
@@ -53,26 +54,18 @@ class OafDocument:
     def to_dma(self) -> DMA:
         if self.kind != "dma":
             raise OafError("expected a 'kind: dma' document")
-        trans = {(q, s): t for q, s, t in self.transitions}
         return DMA.from_parts(
-            self.alphabet, self.n_states, self.initial, trans, self.acceptance or ()
+            self.alphabet, self.n_states, self.initial, self.transitions,
+            self.acceptance or (),
         )
 
     def to_open(self) -> OpenSet:
         if self.kind != "open":
             raise OafError("expected a 'kind: open' document")
-        trans = {(q, s): t for q, s, t in self.transitions}
         return OpenSet.from_parts(
-            self.alphabet, self.n_states, self.initial, trans, self.finals or ()
+            self.alphabet, self.n_states, self.initial, self.transitions,
+            self.finals or (),
         )
-
-
-def _canonical_transitions(alphabet: Alphabet, rows) -> tuple[tuple[int, str, int], ...]:
-    out = []
-    for q, row in enumerate(rows):
-        for si, t in enumerate(row):
-            out.append((q, alphabet.symbols[si], t))
-    return tuple(out)
 
 
 def _canonical_family(members) -> tuple[tuple[int, ...], ...]:
@@ -87,7 +80,7 @@ def from_dma(a: DMA, weights=None) -> OafDocument:
         alphabet=a.alphabet,
         n_states=a.n_states,
         initial=a.initial,
-        transitions=_canonical_transitions(a.alphabet, a.transitions),
+        transitions=a.transitions,
         acceptance=_canonical_family(a.acceptance),
         weights=_canonical_weights(a.alphabet, weights),
     )
@@ -99,7 +92,7 @@ def from_open(e: OpenSet, weights=None) -> OafDocument:
         alphabet=e.alphabet,
         n_states=e.n_states,
         initial=e.initial,
-        transitions=_canonical_transitions(e.alphabet, e.transitions),
+        transitions=e.transitions,
         finals=tuple(sorted(e.finals)),
         weights=_canonical_weights(e.alphabet, weights),
     )
@@ -119,8 +112,10 @@ def serialize_oaf(doc: OafDocument) -> str:
         f"states: {doc.n_states}",
         f"initial: {doc.initial}",
     ]
-    for q, s, t in doc.transitions:
-        lines.append(f"trans: {q} {s} {t}")
+    symbols = doc.alphabet.symbols
+    for q, row in enumerate(doc.transitions):
+        for s, t in zip(symbols, row):
+            lines.append(f"trans: {q} {s} {t}")
     if doc.kind == "dma":
         sets = " ".join("{" + " ".join(map(str, m)) + "}" for m in doc.acceptance or ())
         lines.append(f"accept: {sets}".rstrip())
@@ -229,7 +224,7 @@ def parse_oaf(text: str, warnings: list[str] | None = None) -> OafDocument:
             f"{len(slots)} declared, but {n_states} states over {k} symbols "
             f"need {n_states * k}"
         )
-    rows = [[slots[q * k + si] for si in range(k)] for q in range(n_states)]
+    rows = [tuple(slots[q * k + si] for si in range(k)) for q in range(n_states)]
 
     acceptance = finals = None
     if kind == "dma":
@@ -272,7 +267,7 @@ def parse_oaf(text: str, warnings: list[str] | None = None) -> OafDocument:
                         f"final state {f} was not absorbing; "
                         "its transitions were replaced by self-loops"
                     )
-                rows[f] = [f] * k
+                rows[f] = (f,) * k
 
     weights = None
     if measure_raw is not None:
@@ -291,7 +286,7 @@ def parse_oaf(text: str, warnings: list[str] | None = None) -> OafDocument:
         alphabet=alphabet,
         n_states=n_states,
         initial=initial,
-        transitions=_canonical_transitions(alphabet, rows),
+        transitions=tuple(rows),
         acceptance=acceptance,
         finals=finals,
         weights=weights,

@@ -23,6 +23,7 @@ from omegabaire import (
     is_dense,
     is_empty,
     is_nowhere_dense,
+    mu,
     open_to_dma,
     open_union,
     parse_up,
@@ -68,6 +69,64 @@ def test_from_parts_rejects_bad_input():
         DMA.from_parts(AB, 2, 0, [[0, 1], [0, 9]], [{0}])
     with pytest.raises(ValueError):
         DMA.from_parts(AB, 2, 0, [[0, 1], [0, 1]], [{7}])
+
+
+@pytest.mark.parametrize("build", [
+    lambda initial, rows: DMA.from_parts(AB, 2, initial, rows, [{0}]),
+    lambda initial, rows: OpenSet.from_parts(AB, 2, initial, rows, [0]),
+], ids=["dma", "open"])
+@pytest.mark.parametrize("initial, rows, named", [
+    (0, [[0, 1], [0, True]], "1 --b--> True"),
+    (0, [[0, 1.0], [0, 1]], "0 --b--> 1.0"),
+    (0, [["1", 1], [0, 1]], "0 --a--> '1'"),
+    (0, [[0, 1], [0, -1]], "1 --b--> -1"),
+    (0, {(0, "a"): 0, (0, "b"): 1, (True, "a"): 0, (True, "b"): 1},
+     "from True on 'a'"),
+    (5, [[0, 1], [0, 1]], "initial state 5"),
+    (-1, [[0, 1], [0, 1]], "initial state -1"),
+    (True, [[0, 1], [0, 1]], "initial state True"),
+    (0.0, [[0, 1], [0, 1]], "initial state 0.0"),
+])
+def test_from_parts_rejects_non_state_ids(build, initial, rows, named):
+    # a bool, float or str is no state id, even where it compares equal to one
+    with pytest.raises(ValueError, match=named.replace(".", r"\.")):
+        build(initial, rows)
+
+
+def test_from_parts_keeps_tuple_rows():
+    # tuples are immutable, so a canonical table is shared with the caller
+    rows = ((1, 0), (1, 1))
+    assert DMA.from_parts(AB, 2, 0, rows, [{1}]).transitions is rows
+    listed = [(1, 0), (1, 1)]
+    a = DMA.from_parts(AB, 2, 0, listed, [{1}])
+    assert all(a.transitions[q] is listed[q] for q in range(2))
+    e = OpenSet.from_parts(AB, 2, 0, rows, [])
+    assert all(e.transitions[q] is rows[q] for q in range(2))
+
+
+def test_from_parts_copies_list_rows():
+    rows = [[0, 1], [0, 1]]
+    a = DMA.from_parts(AB, 2, 0, rows, [{0}, {0, 1}])
+    before, measure = a.transitions, mu(a)
+    rows[0][1] = 0
+    rows[1][:] = [1, 1]
+    assert a.transitions == before == ((0, 1), (0, 1))
+    assert mu(a) == measure == 1
+
+
+def test_closure_and_interior_share_the_table():
+    rng = random.Random(41)
+    dense = 0
+    for _ in range(200):
+        a = random_dma(rng, 8)
+        if len(automata._live_states(a)) == a.n_states:
+            dense += 1
+            assert closure(a).transitions is a.transitions
+        e = interior(a)
+        if e.n_states == a.n_states:
+            assert all(e.transitions[q] is a.transitions[q]
+                       for q in range(a.n_states) if q not in e.finals)
+    assert dense >= 20
 
 
 def test_accepts_set_uses_family():

@@ -31,6 +31,8 @@ def test_minimal_full_space_document():
     doc = parse_oaf(FULL_TEXT)
     assert doc.kind == "dma"
     assert doc.acceptance == ((0,),)
+    assert doc.transitions == ((0, 0),)
+    assert serialize_oaf(doc) == FULL_TEXT
     assert mu(doc.to_dma()) == 1
 
 
@@ -47,10 +49,13 @@ def test_roundtrip_random_dma_documents():
     for _ in range(40):
         a = random_dma(rng, 5)
         doc = from_dma(a)
+        assert doc.transitions is a.transitions
         text = serialize_oaf(doc)
         doc2 = parse_oaf(text)
         assert doc2 == doc
         assert serialize_oaf(doc2) == text
+        # the parsed table is in canonical order, so the automaton shares it
+        assert doc2.to_dma().transitions is doc2.transitions
         assert equivalent(doc2.to_dma(), a)
 
 

@@ -18,6 +18,7 @@ from omegabaire import (  # noqa: E402
     closure,
     complement,
     contains,
+    equivalent,
     f1_refute_open,
     interior,
     is_dense,
@@ -25,10 +26,12 @@ from omegabaire import (  # noqa: E402
     is_meager_via_measure,
     is_nowhere_dense,
     mu,
+    open_to_dma,
     pref_dfa,
     synthesize_abp_witness,
     union,
     up_membership,
+    up_normalize,
 )
 from omegabaire.automata import (  # noqa: E402
     _lasso_witness,
@@ -45,6 +48,7 @@ from helpers import (  # noqa: E402
     abp_finals_oracle,
     bareiss_oracle,
     f1_ball_kind_oracle,
+    lasso_oracle,
     realizable_sets_oracle,
     shortlex_avoided_infix_oracle,
 )
@@ -128,6 +132,34 @@ def test_density_and_avoided_infix_match_the_topology(a):
         # the empty language avoids a first symbol
         assert len(w) <= max(1, len(_live_states(a)) ** 2)
         assert len(w) >= len(shortlex_avoided_infix_oracle(a))
+
+
+@st.composite
+def up_words(draw, alphabet):
+    """Ultimately periodic words with a prefix of up to 20 symbols, long
+    enough to reach later blocks of ``block_dmas``, and a period of 1-8."""
+    symbols = st.sampled_from(alphabet.symbols)
+    prefix = "".join(draw(st.lists(symbols, max_size=20)))
+    period = "".join(draw(st.lists(symbols, min_size=1, max_size=8)))
+    return up_normalize(alphabet, prefix, period)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(block_dmas(), st.data())
+def test_up_membership_matches_the_lasso_oracle(a, data):
+    # a closure whose every state is live runs on ``a``'s own table
+    words = [data.draw(up_words(a.alphabet)) for _ in range(4)]
+    for d in (a, complement(a), closure(a)):
+        for x in words:
+            assert up_membership(d, x) == lasso_oracle(d, x)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(block_dmas())
+def test_synthesized_open_part_is_regular_open(a):
+    # E = int(cl(E)): the synthesized E is the canonical representative
+    e = open_to_dma(synthesize_abp_witness(a).e)
+    assert equivalent(open_to_dma(interior(closure(e))), e)
 
 
 def _periodic_states(a, x) -> tuple[int, frozenset[int]]:
