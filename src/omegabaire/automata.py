@@ -399,8 +399,10 @@ class DMA:
                     raise ValueError(f"acceptance set state {q!r} out of range")
             members.append(member)
         renum, new_rows = _bfs_renumber(rows, initial)
+        # with the identity numbering the caller's members are kept, not copied
+        moved = any(old != new for new, old in enumerate(renum))
         fam = {
-            frozenset(renum[q] for q in member)
+            frozenset(renum[q] for q in member) if moved else member
             for member in members
             if member and all(q in renum for q in member)
         }

@@ -10,8 +10,8 @@ precomputation of probabilistic model checking, Baier & Katoen 2008,
 section 10.1), and takes E as the words that ever reach such a state.  The
 symmetric difference is then a null set, hence meager.
 
-Constructions never trust themselves: synthesis re-verifies its output
-before returning it.
+Synthesis re-checks only the clause it does not build true: F' is the
+symmetric difference itself, so it must be meager, which a wrong E breaks.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def verify_abp_witness(f: DMA, w: ABPWitness) -> WitnessCheck:
 
 
 def synthesize_abp_witness(f: DMA) -> ABPWitness:
-    """Witness for an arbitrary DMA; total, and self-verifying.
+    """Witness for an arbitrary DMA; total, and polynomial.
 
     E is generated by the states that reach no rejecting bottom SCC.  A
     full-support random run settles in some reachable bottom SCC and almost
@@ -83,7 +83,7 @@ def synthesize_abp_witness(f: DMA) -> ABPWitness:
     whose states are among them.  The symmetric difference is therefore
     null, meager by the measure-category coincidence for regular languages,
     and is returned as fprime unchanged (the tightest verifiable choice).
-    Verification re-checks that fprime is meager and covers the difference.
+    fprime covers the difference as built; only its meagerness is re-checked.
 
     For a meager input every bottom SCC rejects, so E is empty and fprime
     equals f itself.
@@ -92,11 +92,10 @@ def synthesize_abp_witness(f: DMA) -> ABPWitness:
     doomed = _states_reaching(f, rejecting)
     finals = [q for q in range(f.n_states) if q not in doomed]
     e = OpenSet.from_parts(f.alphabet, f.n_states, f.initial, f.transitions, finals)
-    witness = ABPWitness(e, symdiff(f, open_to_dma(e)))
-    check = verify_abp_witness(f, witness)
-    if not check:
-        raise InvariantError(f"synthesized witness failed verification: {check.failed}")
-    return witness
+    fprime = symdiff(f, open_to_dma(e))
+    if not is_meager(fprime):
+        raise InvariantError("synthesized witness failed verification: meager")
+    return ABPWitness(e, fprime)
 
 
 def finite_up_abp(xs: list[UPWord]) -> ABPWitness:

@@ -485,6 +485,8 @@ def f1_refute_open(e: OpenSet, precision: int = 64) -> RefutationReport:
     """
     if e.alphabet != F1_ALPHABET:
         raise ValueError("expected an open set over the alphabet a b c")
+    if precision < 1:
+        raise ValueError("precision must be positive")
     spec = default_counter_spec()
     mu_e = measure_open(e)
     e_dma = open_to_dma(e)

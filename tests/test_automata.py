@@ -104,6 +104,19 @@ def test_from_parts_keeps_tuple_rows():
     assert all(e.transitions[q] is rows[q] for q in range(2))
 
 
+def test_from_parts_keeps_family_members_under_identity_numbering():
+    # state 2 is unreachable, so it is pruned, but 0 and 1 keep their ids
+    rows = ((1, 0), (1, 1), (2, 2))
+    family = [frozenset({1}), frozenset({0, 1}), frozenset({2})]
+    a = DMA.from_parts(AB, 3, 0, rows, family)
+    assert a.n_states == 2 and a.acceptance == tuple(family[:2])
+    assert all(kept is given for kept, given in zip(a.acceptance, family))
+    # with the initial state moved the ids change, so the members are new
+    b = DMA.from_parts(AB, 2, 1, ((1, 0), (0, 1)), family[:2])
+    assert b.acceptance == (frozenset({0}), frozenset({0, 1}))
+    assert b.acceptance[0] is not family[0]
+
+
 def test_from_parts_copies_list_rows():
     rows = [[0, 1], [0, 1]]
     a = DMA.from_parts(AB, 2, 0, rows, [{0}, {0, 1}])

@@ -8,6 +8,7 @@ import pytest
 
 from omegabaire import (
     ABPWitness,
+    InvariantError,
     avoid_infix_dma,
     complement,
     contains,
@@ -19,6 +20,7 @@ from omegabaire import (
     from_open,
     full_dma,
     full_open,
+    intersection,
     is_empty,
     is_meager,
     mu,
@@ -33,7 +35,7 @@ from omegabaire import (
     up_non_infix_witness,
     verify_abp_witness,
 )
-from omegabaire import measure
+from omegabaire import automata, baire, measure
 
 from helpers import (
     AB,
@@ -267,6 +269,42 @@ def test_synth_large_transient_scc():
     assert not w.e.accepts("a" * 10 + "b")
 
 
+def _transient_cycle_chain():
+    # five factors, each with an accepting and a rejecting sink, combined by
+    # union and by intersection with a complement in turn: 210 states with
+    # eight bottom SCCs and transient states on both sides of E
+    a = dma_transient_cycle(3)
+    for i, n in enumerate((4, 5, 3, 4)):
+        g = dma_transient_cycle(n)
+        a = union(a, g) if i % 2 == 0 else intersection(a, complement(g))
+    return a
+
+
+def _witness_tables(w):
+    return (w.e.transitions, w.e.finals), (w.fprime.transitions, w.fprime.acceptance)
+
+
+def test_synthesis_runs_no_emptiness_search(monkeypatch):
+    def refuse(rows, cond, C):
+        raise AssertionError("witness synthesis must run no emptiness search")
+
+    expected = [_witness_tables(synthesize_abp_witness(f))
+                for f in (dma_transient_cycle(), _transient_cycle_chain())]
+    monkeypatch.setattr(automata, "_search_scc", refuse)
+    # fresh automata, so no SCC search result is cached on them
+    got = [_witness_tables(synthesize_abp_witness(f))
+           for f in (dma_transient_cycle(), _transient_cycle_chain())]
+    assert got == expected
+
+
+def test_synthesis_rejects_a_wrong_open_part(monkeypatch):
+    # without the backward pass E keeps the transient cycle, which reaches
+    # the rejecting sink, so F delta E has positive measure
+    monkeypatch.setattr(baire, "_states_reaching", lambda a, targets: dict.fromkeys(targets))
+    with pytest.raises(InvariantError, match="failed verification: meager"):
+        synthesize_abp_witness(dma_transient_cycle())
+
+
 def test_verify_round_tripped_witness_of_strongly_connected_dma():
     # read back from OAF, fprime carries its materialized family as one
     # explicit atom that shares nothing with the condition of f
@@ -300,11 +338,11 @@ def test_synthesis_self_check_survives_optimized_mode():
     # an unverified witness from being returned must still fire.
     code = textwrap.dedent("""
         import sys
-        from omegabaire import InvariantError, WitnessCheck, baire
+        from omegabaire import InvariantError, baire
         from helpers import dma_ball_a
 
         print("optimize:", sys.flags.optimize)
-        baire.verify_abp_witness = lambda f, w: WitnessCheck(False, "meager")
+        baire.is_meager = lambda a: False
         try:
             baire.synthesize_abp_witness(dma_ball_a())
         except InvariantError as exc:

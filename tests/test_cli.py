@@ -271,6 +271,14 @@ def test_v3_f1_refute(oaf_dir, capsys):
     assert code == 2 and "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize("precision", ["0", "-3"])
+@pytest.mark.parametrize("verb", ["root", "f1-refute"])
+def test_v3_rejects_non_positive_precision(oaf_dir, capsys, verb, precision):
+    argv = ["f1-refute", oaf_dir["ball_c_open"]] if verb == "f1-refute" else ["root", "-k", "3"]
+    code, out, err = run(capsys, "v3", *argv, "--precision", precision)
+    assert (code, out) == (2, "") and "precision must be positive" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["measure", "FILE", "--measure"],
     ["v3", "survival", "-n", "4", "--measure"],

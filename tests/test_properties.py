@@ -32,7 +32,9 @@ from omegabaire import (  # noqa: E402
     union,
     up_membership,
     up_normalize,
+    verify_abp_witness,
 )
+from omegabaire import automata  # noqa: E402
 from omegabaire.automata import (  # noqa: E402
     _lasso_witness,
     _live_states,
@@ -114,6 +116,21 @@ def test_synthesized_finals_match_the_exact_solve(a):
                                abp_finals_oracle(f))
         assert (w.e.transitions, w.e.finals) == (e.transitions, e.finals)
         assert mu(w.fprime) == 0
+
+
+def _refuse_search(rows, cond, C):
+    raise AssertionError("witness synthesis must run no emptiness search")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(block_dmas())
+def test_synthesized_witness_passes_full_verification(a):
+    # synthesis checks only that fprime is meager, and runs no emptiness
+    # search; the containment it holds by construction is searched here
+    for f in (a, complement(a)):
+        with patch.object(automata, "_search_scc", _refuse_search):
+            w = synthesize_abp_witness(f)
+        assert verify_abp_witness(f, w)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
