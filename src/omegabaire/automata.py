@@ -24,7 +24,12 @@ An automaton builds its complement once and keeps it: ``complement`` is an
 involution on objects, and the two share their SCCs, since the transitions
 are the same, while each searches them under its own condition.  The
 states from which some word is rejected, behind the interior, are the live
-states of the complement, so repeated interiors search nothing.
+states of the complement, so repeated interiors search nothing.  A product
+that collapses onto an operand, with the operand's states in the operand's
+numbering and a condition that agrees with the operand's under every truth
+valuation of the atoms, is that operand: containment of a product chain in
+one of its factors, or of a factor in the chain, reads the chain's cached
+searches instead of repeating them.
 Derived automata share their source's transition table wherever the rows
 do not change: the complement always, the closure and the prefix DFA when
 every state is live, and the interior in every row but its finals'.  The
@@ -523,12 +528,29 @@ def _normalize_derived(alphabet: Alphabet, initial: int, rows, cond: Cond) -> DM
     return DMA(alphabet, len(new_rows), 0, new_rows, remap(cond, list(renum), {}))
 
 
+def _agree(x: Cond, y: Cond) -> bool:
+    """Whether ``x`` and ``y`` take the same value under every truth
+    valuation of their atoms, split one atom at a time."""
+    if isinstance(x, Bool) and isinstance(y, Bool):
+        return x.value == y.value
+    at = (atoms_of(x) or atoms_of(y))[0]
+    return all(_agree(assign(x, {at: v}), assign(y, {at: v})) for v in (True, False))
+
+
 def boolean_combine(a: DMA, b: DMA, mode: str) -> DMA:
     """Binary boolean algebra on languages: union, intersection, symdiff.
 
     Runs on the reachable product automaton with the acceptance condition
     obtained from both factors' conditions by projection of the
     infinitely-visited set.
+
+    When the product collapses onto an operand, that is, it has the
+    operand's states in the operand's numbering, and the combined condition
+    agrees with the operand's under every truth valuation of the atoms, the
+    result is the operand itself, with its cached SCCs, searches and
+    complement.  Agreement on every valuation implies the same language on
+    the same graph; it is not necessary for it, since atoms count as
+    independent.
     """
     if a.alphabet != b.alphabet:
         raise ValueError("alphabet mismatch")
@@ -544,6 +566,12 @@ def boolean_combine(a: DMA, b: DMA, mode: str) -> DMA:
         cond = c_or([c_and([cond_a, c_not(cond_b)]), c_and([c_not(cond_a), cond_b])])
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    # ``remap`` under the identity keeps the operand's atoms equal to its own,
+    # so a collapsed product whose condition agrees is the operand
+    for k, o in enumerate((a, b)):
+        if (len(order) == o.n_states and all(p[k] == i for i, p in enumerate(order))
+                and _agree(cond, o.cond)):
+            return o
     return DMA(a.alphabet, len(order), 0, rows, cond)
 
 

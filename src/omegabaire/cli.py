@@ -421,6 +421,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _command_name(args) -> str:
+    """The command and subcommand as typed, e.g. ``abp synth``."""
+    return " ".join(filter(None, (args.command, getattr(args, "abp_command", None),
+                                  getattr(args, "v3_command", None))))
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -429,8 +435,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return globals()[args.handler](args)
-    except FamilyTooLargeError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except FamilyTooLargeError as exc:  # a stated size limit, not a fault
+        print(f"limit exceeded in {_command_name(args)}: {exc}", file=sys.stderr)
         return 3
     except (OafError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -439,9 +445,8 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # any other fault still exits 3, without a traceback
-        command = " ".join(filter(None, (args.command, getattr(args, "abp_command", None),
-                                         getattr(args, "v3_command", None))))
-        print(f"internal error in {command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"internal error in {_command_name(args)}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 3
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 from typing import Sequence
 
@@ -37,6 +37,7 @@ from omegabaire import (
     up_normalize,
 )
 from omegabaire.automata import _live_states, bsccs, nontrivial_sccs
+from omegabaire.conditions import And, Atom, Bool, Cond, Not, Or
 from omegabaire.measure import check_weights
 from omegabaire.onecounter import DEAD, IN_V, _counter_step
 
@@ -516,6 +517,39 @@ def emptiness_oracle(a: DMA) -> bool:
             s = frozenset(c)
             if _subset_has_covering_cycle(a.transitions, s) and a.accepts_set(s):
                 return False
+    return True
+
+
+def _truth_value(cond: Cond, valuation: dict[Atom, bool]) -> bool:
+    if isinstance(cond, Bool):
+        return cond.value
+    if isinstance(cond, Atom):
+        return valuation[cond]
+    if isinstance(cond, Not):
+        return not _truth_value(cond.inner, valuation)
+    if isinstance(cond, And):
+        return all(_truth_value(p, valuation) for p in cond.parts)
+    return any(_truth_value(p, valuation) for p in cond.parts)
+
+
+def _tree_atoms(cond: Cond) -> set[Atom]:
+    if isinstance(cond, Atom):
+        return {cond}
+    if isinstance(cond, Not):
+        return _tree_atoms(cond.inner)
+    if isinstance(cond, (And, Or)):
+        return set().union(*map(_tree_atoms, cond.parts))
+    return set()
+
+
+def conditions_agree_oracle(x: Cond, y: Cond) -> bool:
+    """True iff ``x`` and ``y`` agree on every row of their joint truth
+    table, evaluated directly on each valuation of all their atoms."""
+    atoms = list(_tree_atoms(x) | _tree_atoms(y))
+    for values in product((False, True), repeat=len(atoms)):
+        valuation = dict(zip(atoms, values))
+        if _truth_value(x, valuation) != _truth_value(y, valuation):
+            return False
     return True
 
 

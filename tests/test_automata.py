@@ -261,6 +261,26 @@ def test_emptiness_matches_subset_oracle():
             assert up_membership(a, w)
 
 
+def test_nested_family_complement_search_is_polynomial(monkeypatch):
+    # a: q -> n-1 and b: q -> max(q-1, 0); the cycle-closed sets are
+    # {m, ..., n-1} for every m and {0}, all in the family, so the complement
+    # is empty.  Refinement peels one label at a time off each nested member:
+    # about n^2/2 Tarjan passes, the bound stated in the README
+    n = 100
+    rows = [[n - 1, max(q - 1, 0)] for q in range(n)]
+    a = DMA.from_parts(AB, n, 0, rows, [set(range(m, n)) for m in range(n)] + [{0}])
+    calls = []
+    refine = automata._refine
+
+    def counting_refine(*args):
+        calls.append(None)
+        return refine(*args)
+
+    monkeypatch.setattr(automata, "_refine", counting_refine)
+    assert is_empty(complement(a))
+    assert len(calls) <= n * (n + 1) // 2 + n
+
+
 # ---------------------------------------------------------------------------
 # UP membership
 
@@ -445,6 +465,57 @@ def test_graph_of_each_automaton_analysed_once(monkeypatch):
     mine = [(id(cond), C) for cond, C in searches if cond is a.cond or cond is c.cond]
     assert len(set(mine)) == len(mine) == 2 * n_sccs
     assert sum(1 for rows in passes if rows is a.transitions) == 1
+
+
+# ---------------------------------------------------------------------------
+# products that collapse onto an operand
+
+
+def _refuse_search(rows, cond, C):
+    raise AssertionError("the search must not run again")
+
+
+def test_containment_on_a_difference_chain_is_the_chain(monkeypatch):
+    # the third factor's state is a function of the chain's, and the
+    # condition chain ∧ ¬z agrees with the chain's on every valuation
+    z, chain = dma_one_b(), _difference_chain()
+    assert intersection(chain, complement(z)) is chain
+    x = accepting_witness(chain)
+    assert x is not None
+    monkeypatch.setattr(automata, "_search_scc", _refuse_search)
+    assert not contains(z, chain)
+    assert containment_counterexample(z, chain) == x
+
+
+def test_containment_in_a_complemented_chain_reuses_the_interior_search(monkeypatch):
+    # x ⊆ z, so x lies in the chain ¬(x ∩ y) ∪ z: the containment search
+    # proves the complement empty, SCC by SCC, and the interior needs no more
+    x, z = dma_ball_a(), dma_a_ball_or_bw()
+    chain = union(complement(intersection(x, dma_one_b())), z)
+    assert intersection(x, complement(chain)) is complement(chain)
+    assert contains(chain, x)
+    monkeypatch.setattr(automata, "_search_scc", _refuse_search)
+    it = interior(chain)
+    assert (it.n_states, it.finals) == (1, {0})
+
+
+def test_collapsed_product_with_another_condition_is_fresh():
+    z, chain = dma_one_b(), _difference_chain()
+    either = union(chain, complement(z))
+    assert either is not chain and either.transitions == chain.transitions
+    rng = random.Random(36)
+    for _ in range(200):
+        x = random_up(rng)
+        assert up_membership(either, x) == lasso_oracle(either, x)
+        assert up_membership(either, x) == (up_membership(chain, x)
+                                            or not up_membership(z, x))
+
+
+def test_product_of_independent_operands_is_fresh():
+    a, b = dma_ball_a(), dma_one_b()
+    p = intersection(a, b)
+    assert p is not a and p is not b
+    assert p.n_states > max(a.n_states, b.n_states)
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,19 @@ from omegabaire import (  # noqa: E402
     contains,
     equivalent,
     f1_refute_open,
+    from_dma,
+    from_open,
     interior,
+    intersection,
     is_dense,
     is_meager,
     is_meager_via_measure,
     is_nowhere_dense,
     mu,
     open_to_dma,
+    parse_oaf,
     pref_dfa,
+    serialize_oaf,
     synthesize_abp_witness,
     union,
     up_membership,
@@ -42,13 +47,14 @@ from omegabaire.automata import (  # noqa: E402
     nontrivial_sccs,
 )
 from omegabaire import measure  # noqa: E402
-from omegabaire.conditions import family_atom  # noqa: E402
+from omegabaire.conditions import FALSE, TRUE, Atom, c_and, c_not, c_or, family_atom  # noqa: E402
 
 from helpers import (  # noqa: E402
     AB,
     ABC,
     abp_finals_oracle,
     bareiss_oracle,
+    conditions_agree_oracle,
     f1_ball_kind_oracle,
     lasso_oracle,
     realizable_sets_oracle,
@@ -329,3 +335,53 @@ def derived_dmas(draw):
 @given(derived_dmas())
 def test_realizable_sets_match_subset_enumeration(a):
     assert [frozenset(s) for s in _realizable_sets(a)] == realizable_sets_oracle(a)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(block_dmas(), st.data())
+def test_product_collapses_onto_the_operand_it_refines(a, data):
+    # p's state determines a's, and p ∧ a agrees with p; p ∨ ¬a is built on
+    # the same graph but under another condition, so it is a fresh automaton
+    b = data.draw(random_dmas(4, (a.alphabet,)))
+    p = intersection(a, b)
+    assert intersection(p, a) is p
+    q = union(p, complement(a))
+    for _ in range(4):
+        x = data.draw(up_words(a.alphabet))
+        assert up_membership(q, x) == lasso_oracle(q, x)
+
+
+_ATOMS = [Atom((i,), frozenset({frozenset({i})})) for i in range(4)]
+
+
+def condition_trees(atoms):
+    """Condition trees over ``atoms``, built by the folding constructors
+    that every automaton's condition is built by."""
+    parts = st.lists
+    return st.recursive(
+        st.sampled_from([TRUE, FALSE, *atoms]),
+        lambda sub: st.one_of(sub.map(c_not), parts(sub, min_size=2, max_size=3).map(c_and),
+                              parts(sub, min_size=2, max_size=3).map(c_or)),
+        max_leaves=10)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(condition_trees(_ATOMS), condition_trees(_ATOMS))
+def test_condition_agreement_matches_the_truth_table(x, y):
+    assert automata._agree(x, y) == conditions_agree_oracle(x, y)
+    # absorption and De Morgan give agreeing pairs of different shapes
+    for u, v in ((x, c_or([x, c_and([x, y])])),
+                 (c_and([x, y]), c_not(c_or([c_not(x), c_not(y)])))):
+        assert automata._agree(u, v) and conditions_agree_oracle(u, v)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(block_dmas())
+def test_oaf_round_trip_at_realistic_sizes(a):
+    doc = from_dma(a)
+    parsed = parse_oaf(serialize_oaf(doc))
+    assert parsed == doc and equivalent(parsed.to_dma(), a)
+    e = interior(a)
+    doc = from_open(e)
+    parsed = parse_oaf(serialize_oaf(doc))
+    assert parsed == doc and equivalent(open_to_dma(parsed.to_open()), open_to_dma(e))
