@@ -2,9 +2,11 @@
 
 Density, nowhere density and meagerness are decided on the automaton graph,
 from the live states and bottom SCCs that each automaton caches.
-Meagerness additionally has a second, measure-theoretic decision procedure
-(zero uniform measure); the two are implemented independently and are
-required to agree, which the test suite checks aggressively.
+Meagerness can also be read as zero uniform measure, but ``mu`` takes its
+0s and 1s from the same bottom-SCC verdicts before any solve, so that is no
+independent check.  The independent one lives in the tests: a dense solve
+over every non-bottom state (``tests/helpers.unreduced_probabilities``)
+must vanish at the initial state exactly on meager languages.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ def is_meager(a: DMA) -> bool:
 
 
 def is_meager_via_measure(a: DMA, weights=None) -> bool:
-    """Independent decision: meager iff the Bernoulli measure vanishes.
+    """Meager iff the Bernoulli measure vanishes.
 
     Any full-support Bernoulli measure gives the same verdict; ``weights``
-    defaults to uniform.
+    defaults to uniform.  ``mu`` reads a 0 off the bottom SCCs that
+    ``is_meager`` reads, so this is the same graph fact by another route.
     """
     return mu(a, weights) == 0
 

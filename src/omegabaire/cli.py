@@ -242,7 +242,6 @@ def _cmd_v3_prefix(args) -> int:
 
 def _cmd_v3_root(args) -> int:
     iv = min_positive_root(args.k, args.precision)
-    # both lines are formatted first, so a bad --digits prints nothing
     print(f"{iv}\n~ {format_decimal(iv.midpoint(), args.digits)}")
     return 0
 
@@ -289,6 +288,17 @@ def _cmd_v3_f2_member(args) -> int:
 # parser
 
 
+def _digit_count(text: str) -> int:
+    """``--digits``, refused while parsing when negative, before any work."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError("digit count must be >= 0")
+    return n
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and kept for the process.
@@ -302,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     meas.add_argument("--measure", metavar="SPEC", default=None,
                       help="'uniform' or symbol weights like 'a=1/2 b=1/2'")
     digits = argparse.ArgumentParser(add_help=False)
-    digits.add_argument("--digits", type=int, default=10, metavar="N",
+    digits.add_argument("--digits", type=_digit_count, default=10, metavar="N",
                         help="decimal places for approximate renderings")
     precision = argparse.ArgumentParser(add_help=False)
     precision.add_argument("--precision", type=int, default=64, metavar="BITS",
@@ -441,9 +451,6 @@ def main(argv=None) -> int:
     except (OafError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, RuntimeError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:  # any other fault still exits 3, without a traceback
         print(f"internal error in {_command_name(args)}: {type(exc).__name__}: {exc}",
               file=sys.stderr)

@@ -21,7 +21,6 @@ from omegabaire import (
     OpenSet,
     Interval,
     UPWord,
-    acceptance_probabilities,
     avoid_infix_dma,
     ball_open,
     complement,
@@ -274,10 +273,52 @@ def bareiss_oracle(matrix: Sequence[Sequence[int | Fraction]],
     return [Fraction(x, det) for x in X]
 
 
+def sparse_rows(matrix: Sequence[Sequence[int | Fraction]]
+                ) -> list[dict[int, int | Fraction]]:
+    """A dense matrix as the solver's rows: one dict of nonzeros per row."""
+    return [{j: v for j, v in enumerate(row) if v} for row in matrix]
+
+
+def dense_matrix(rows: Sequence[dict[int, int | Fraction]]
+                 ) -> list[list[int | Fraction]]:
+    """The solver's square sparse rows as a dense matrix, for the oracles."""
+    return [[row.get(j, 0) for j in range(len(rows))] for row in rows]
+
+
+def unreduced_probabilities(a: DMA, weights: dict[str, Fraction] | None = None
+                            ) -> list[Fraction]:
+    """Acceptance probability per state from one dense ``bareiss_oracle``
+    solve over every state outside the bottom SCCs.
+
+    Only the bottom SCCs are anchored, at 1 when accepted whole and 0
+    otherwise.  No other state is preset from the graph, so a 0 or 1
+    elsewhere comes out of the solve, not out of the reachability facts
+    that ``acceptance_probabilities`` and ``is_meager`` read.
+    """
+    wvec = check_weights(a.alphabet, weights)
+    p: list = [None] * a.n_states
+    for C in bsccs(a):
+        for q in C:
+            p[q] = Fraction(int(a.accepts_set(C)))
+    free = [q for q in range(a.n_states) if p[q] is None]
+    idx = {q: i for i, q in enumerate(free)}
+    A = [[Fraction(int(i == j)) for j in range(len(free))] for i in range(len(free))]
+    b = [Fraction(0)] * len(free)
+    for i, q in enumerate(free):
+        for w, t in zip(wvec, a.transitions[q]):
+            if t in idx:
+                A[i][idx[t]] -= w
+            else:
+                b[i] += w * p[t]
+    for q, x in zip(free, bareiss_oracle(A, b)):
+        p[q] = x
+    return p
+
+
 def abp_finals_oracle(f: DMA) -> list[int]:
     """The finals of a synthesized witness's E by the exact linear solve:
     the states whose acceptance probability is exactly 1."""
-    probs = acceptance_probabilities(f)
+    probs = unreduced_probabilities(f)
     return [q for q in range(f.n_states) if probs[q] == 1]
 
 

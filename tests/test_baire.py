@@ -9,6 +9,7 @@ import pytest
 from omegabaire import (
     ABPWitness,
     InvariantError,
+    acceptance_probabilities,
     avoid_infix_dma,
     complement,
     contains,
@@ -46,6 +47,7 @@ from helpers import (
     dma_strongly_connected_16,
     dma_transient_cycle,
     random_dma,
+    unreduced_probabilities,
 )
 
 
@@ -278,6 +280,26 @@ def _transient_cycle_chain():
         g = dma_transient_cycle(n)
         a = union(a, g) if i % 2 == 0 else intersection(a, complement(g))
     return a
+
+
+def test_probabilities_solve_only_the_mixed_states(monkeypatch):
+    # a state reaching only accepted, or only rejected, bottom SCCs gets 1 or
+    # 0 from the graph; the solved blocks hold exactly the other states
+    solve, sizes = measure.solve_linear_system, []
+
+    def recording(rows, rhs):
+        sizes.append(len(rhs))
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(measure, "solve_linear_system", recording)
+    a = _transient_cycle_chain()
+    for d in (a, complement(a)):
+        sizes.clear()
+        got = acceptance_probabilities(d)
+        expected = unreduced_probabilities(d)
+        mixed = sum(1 for x in expected if 0 < x < 1)
+        assert list(got) == expected
+        assert 0 < mixed < d.n_states and sum(sizes) == mixed
 
 
 def _witness_tables(w):

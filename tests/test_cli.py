@@ -21,7 +21,7 @@ from omegabaire import (
     parse_oaf,
     serialize_oaf,
 )
-from omegabaire import automata, cli
+from omegabaire import InvariantError, automata, cli, onecounter
 from omegabaire.cli import main
 from omegabaire.onecounter import F1_ALPHABET
 
@@ -292,6 +292,19 @@ def test_v3_rejects_non_positive_precision(oaf_dir, capsys, verb, precision):
     assert (code, out) == (2, "") and "precision must be positive" in err
 
 
+@pytest.mark.parametrize("verb", ["root", "f1-refute"])
+def test_v3_rejects_negative_digits_before_any_work(oaf_dir, capsys, monkeypatch, verb):
+    def refuse(k, precision):
+        raise KeyError("a negative --digits must be refused before the root is bracketed")
+
+    monkeypatch.setattr(cli, "min_positive_root", refuse)
+    monkeypatch.setattr(onecounter, "min_positive_root", refuse)
+    argv = (["f1-refute", oaf_dir["ball_c_open"]] if verb == "f1-refute"
+            else ["root", "-k", "3", "--precision", "100000000"])
+    code, out, err = run(capsys, "v3", *argv, "--digits", "-1")
+    assert (code, out) == (2, "") and "digit count must be >= 0" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["measure", "FILE", "--measure"],
     ["v3", "survival", "-n", "4", "--measure"],
@@ -475,6 +488,14 @@ def test_unexpected_fault_exits_3_naming_the_command(oaf_dir, capsys, monkeypatc
     monkeypatch.setattr(cli, "_cmd_v3_irrational", fault)
     code, _, err = run(capsys, "v3", "irrational", "-k", "3")
     assert code == 3 and err.startswith("internal error in v3 irrational: KeyError")
+
+    def broken_check(args):
+        raise InvariantError("fresh certificate must replay")
+
+    monkeypatch.setattr(cli, "_cmd_measure", broken_check)
+    code, out, err = run(capsys, "measure", oaf_dir["full"])
+    assert (code, out) == (3, "")
+    assert err == "internal error in measure: InvariantError: fresh certificate must replay\n"
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from helpers import (
     AB,
     ABC,
     bareiss_oracle,
+    dense_matrix,
     dma_ball_a,
     dma_inf_a,
     dma_survival_dp,
@@ -39,6 +40,7 @@ from helpers import (
     random_dma,
     random_weights,
     rerooted,
+    sparse_rows,
 )
 
 
@@ -124,10 +126,10 @@ def test_solver_matches_gauss_jordan_oracle():
             expected = _oracle_solve(A, b)
         except ValueError:
             with pytest.raises(ValueError, match="singular"):
-                solve_linear_system(A, b)
+                solve_linear_system(sparse_rows(A), b)
             singular += 1
             continue
-        got = solve_linear_system(A, b)
+        got = solve_linear_system(sparse_rows(A), b)
         assert got == expected
         assert all(type(v) is Fraction for v in got)
         solved += 1
@@ -138,12 +140,12 @@ def test_solver_swaps_zero_pivots():
     # each leading pivot is zero until rows are exchanged
     A = [[0, 0, 1], [0, 2, 0], [Fraction(1, 3), 0, 0]]
     b = [5, Fraction(1, 2), 1]
-    assert solve_linear_system(A, b) == [Fraction(3), Fraction(1, 4), Fraction(5)]
+    assert solve_linear_system(sparse_rows(A), b) == [Fraction(3), Fraction(1, 4), Fraction(5)]
     # a zero pivot appears only after the first elimination step
     A = [[1, 2, 3], [2, 4, 7], [1, 3, 1]]
-    assert solve_linear_system(A, [6, 13, 5]) == _oracle_solve(A, [6, 13, 5])
+    assert solve_linear_system(sparse_rows(A), [6, 13, 5]) == _oracle_solve(A, [6, 13, 5])
     with pytest.raises(ValueError, match="singular"):
-        solve_linear_system([[1, 2], [Fraction(1, 2), 1]], [1, 1])
+        solve_linear_system(sparse_rows([[1, 2], [Fraction(1, 2), 1]]), [1, 1])
 
 
 def test_solver_matches_sympy_on_larger_systems():
@@ -157,7 +159,7 @@ def test_solver_matches_sympy_on_larger_systems():
                           for row in A])
         B = sympy.Matrix([sympy.Rational(v.numerator, v.denominator) for v in b])
         expected = [Fraction(int(v.p), int(v.q)) for v in M.LUsolve(B)]
-        assert solve_linear_system(A, b) == expected
+        assert solve_linear_system(sparse_rows(A), b) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +366,9 @@ def test_measures_match_oracle_solver(monkeypatch, n, alphabet, oracle_solve):
     got = [(f(x), f(x, w)) for f, x in ((mu, a), (measure_open, e))]
     sizes = []
 
-    def oracle(matrix, rhs):
+    def oracle(rows, rhs):
         sizes.append(len(rhs))
-        return oracle_solve(matrix, rhs)
+        return oracle_solve(dense_matrix(rows), rhs)
 
     monkeypatch.setattr(measure, "solve_linear_system", oracle)
     expected = [(f(x), f(x, w)) for f, x in ((mu, a), (measure_open, e))]

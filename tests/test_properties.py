@@ -55,10 +55,13 @@ from helpers import (  # noqa: E402
     abp_finals_oracle,
     bareiss_oracle,
     conditions_agree_oracle,
+    dense_matrix,
     f1_ball_kind_oracle,
     lasso_oracle,
     realizable_sets_oracle,
     shortlex_avoided_infix_oracle,
+    sparse_rows,
+    unreduced_probabilities,
 )
 
 
@@ -106,9 +109,12 @@ def block_dmas(draw):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(block_dmas())
 def test_graph_meagerness_matches_measure(a):
-    # the complement reuses the SCCs cached on ``a`` by the first call
+    # the complement reuses the SCCs cached on ``a`` by the first call;
+    # ``acceptance_probabilities`` reads its 0s off the same bottom SCCs as
+    # ``is_meager``, so the independent side is the unreduced solve
     for d in (a, complement(a)):
-        assert is_meager(d) == is_meager_via_measure(d)
+        unreduced = unreduced_probabilities(d)
+        assert is_meager(d) == is_meager_via_measure(d) == (unreduced[d.initial] == 0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -223,7 +229,9 @@ def test_lasso_witness_visits_exactly_its_set(a):
 def test_probabilities_match_the_bareiss_oracle(a):
     for d in (a, complement(a)):
         got = acceptance_probabilities(d)
-        with patch.object(measure, "solve_linear_system", bareiss_oracle):
+        assert list(got) == unreduced_probabilities(d)
+        with patch.object(measure, "solve_linear_system",
+                          lambda rows, rhs: bareiss_oracle(dense_matrix(rows), rhs)):
             assert acceptance_probabilities(d) == got
 
 
@@ -272,9 +280,9 @@ def test_sparse_solver_matches_the_bareiss_oracle(system):
         expected = bareiss_oracle(A, b)
     except ValueError:
         with pytest.raises(ValueError, match="singular"):
-            measure.solve_linear_system(A, b)
+            measure.solve_linear_system(sparse_rows(A), b)
         return
-    got = measure.solve_linear_system(A, b)
+    got = measure.solve_linear_system(sparse_rows(A), b)
     assert got == expected
     assert all(type(v) is Fraction for v in got)
 
